@@ -13,7 +13,7 @@ import numpy as np
 
 from .encoder import MOMENTUM_MODES, EncoderConfig, encode
 from .errors import LocosparseError
-from .gabor import GaborParams, fold_phase, gabor_fit
+from .gabor import fold_phase, gabor_fit, unfit_params
 from .graphs import bipartite_laplacian, knn_adjacency, laplacian_from_adjacency
 from .manifest import write_manifest
 from .penalties import KINDS, PenaltyConfig
@@ -196,15 +196,14 @@ def _cmd_eval(args, command):
 
         fields = sta_receptive_fields(respond, side, args.samples, args.seed)
 
-    center = (side - 1) / 2.0
-    params = []
-    for rf in fields:
-        if rf.total_response == 0.0 or not rf.image.any():
-            params.append(GaborParams(0.0, center, center, 0.0, side / 4.0,
-                                      side / 4.0, 0.05, 0.0,
-                                      residual=1.0, converged=False))
-        else:
-            params.append(gabor_fit(rf))
+    params = [unfit_params(side) if rf.total_response == 0.0 or not rf.image.any()
+              else gabor_fit(rf) for rf in fields]
+    # both histograms raise when no fit converged, so build them before
+    # opening any output: a failing eval writes nothing
+    hist = phase_histogram(params, args.bins)
+    # the balance score needs an even split at 45 degrees, so compute it
+    # from a two-bin histogram of the same fits
+    balance = symmetry_score(phase_histogram(params, 2))
 
     gabor_path = f"{args.out}.gabor.csv"
     with open(gabor_path, "w", encoding="utf-8") as fh:
@@ -222,7 +221,6 @@ def _cmd_eval(args, command):
                    _fmt_float(p.residual), "true" if p.converged else "false"]
             fh.write(",".join(row) + "\n")
 
-    hist = phase_histogram(params, args.bins)
     phases_path = f"{args.out}.phases.csv"
     with open(phases_path, "w", encoding="utf-8") as fh:
         fh.write("bin_lo_deg,bin_hi_deg,count\n")
@@ -230,9 +228,6 @@ def _cmd_eval(args, command):
             fh.write(f"{_fmt_float(hist.bin_edges[i])},"
                      f"{_fmt_float(hist.bin_edges[i + 1])},{int(hist.counts[i])}\n")
 
-    # the balance score needs an even split at 45 degrees, so compute it
-    # from a two-bin histogram of the same fits
-    balance = symmetry_score(phase_histogram(params, 2))
     converged_count = sum(1 for p in params if p.converged)
     summary_path = f"{args.out}.summary.txt"
     with open(summary_path, "w", encoding="utf-8") as fh:

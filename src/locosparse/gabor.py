@@ -163,6 +163,13 @@ def canonical_vector(q):
     return np.array([K, u0, v0, theta, sx, sy, f, phi])
 
 
+def unfit_params(side):
+    """The record of a field with nothing to fit: centred, unconverged, residual 1."""
+    center = (side - 1) / 2.0
+    return GaborParams(0.0, center, center, 0.0, side / 4.0, side / 4.0,
+                       float(_GRID_FREQS[0]), 0.0, residual=1.0, converged=False)
+
+
 def gabor_fit(rf, max_iters=200, step_tol=1e-8, num_starts=3):
     """Least-squares Gabor fit to a square receptive-field image.
 
@@ -179,10 +186,8 @@ def gabor_fit(rf, max_iters=200, step_tol=1e-8, num_starts=3):
         raise DegenerateInputError("all-zero receptive field")
     target = img - img.mean()
     tnorm = float(np.linalg.norm(target))
-    center = (side - 1) / 2.0
     if tnorm == 0.0:
-        return GaborParams(0.0, center, center, 0.0, side / 4.0, side / 4.0,
-                           float(_GRID_FREQS[0]), 0.0, residual=1.0, converged=False)
+        return unfit_params(side)
 
     vv, uu = np.mgrid[0:side, 0:side]
     uu = uu.astype(np.float64)

@@ -6,6 +6,9 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 
+# bound on the difference scratch of one row block in knn_adjacency
+_KNN_SCRATCH_BYTES = 16 * 2**20
+
 
 @dataclass(frozen=True)
 class GraphLaplacian:
@@ -35,21 +38,26 @@ def knn_adjacency(Y, k):
 
     Edge (i, j) is set when j is among i's k nearest columns in
     Euclidean distance or i is among j's. Ties resolve toward the lower
-    index and the diagonal stays zero.
+    index and the diagonal stays zero. Distances are computed for a
+    block of rows at a time, so the difference scratch stays under
+    about 16 MB whatever the column count (one row needs d * b floats).
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
         raise ContractError("stimuli must be a d x b matrix")
-    b = Y.shape[1]
+    d, b = Y.shape
     if k < 1 or k >= b:
         raise ConfigError(f"k must satisfy 1 <= k < b, got k={k} with b={b}")
-    diff = Y[:, :, None] - Y[:, None, :]
-    d2 = np.einsum("dij,dij->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
+    block = max(1, _KNN_SCRATCH_BYTES // (Y.itemsize * max(d, 1) * b))
     W = np.zeros((b, b))
-    rows = np.repeat(np.arange(b), k)
-    W[rows, order[:, :k].reshape(-1)] = 1.0
+    for start in range(0, b, block):
+        stop = min(start + block, b)
+        rows = np.arange(start, stop)
+        diff = Y[:, start:stop, None] - Y[:, None, :]
+        d2 = np.einsum("dij,dij->ij", diff, diff)
+        d2[rows - start, rows] = np.inf
+        order = np.argsort(d2, axis=1, kind="stable")
+        W[np.repeat(rows, k), order[:, :k].reshape(-1)] = 1.0
     return np.maximum(W, W.T)
 
 

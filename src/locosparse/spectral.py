@@ -1,6 +1,5 @@
-"""Jacobi eigendecomposition and spectral clustering."""
+"""LAPACK eigendecomposition and spectral clustering."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,8 +8,6 @@ from .errors import ConfigError, ContractError, NumericalError, ValidationError
 from .graphs import GraphLaplacian
 from .rng import CounterRng, derive_seed
 
-_DEFAULT_CAP = 2048
-_MAX_SWEEPS = 100
 _RESTARTS = 20
 _MAX_LLOYD_ITERS = 100
 
@@ -29,71 +26,21 @@ class ClusterAssignment:
             raise ValidationError("every cluster must be non-empty")
 
 
-def symmetric_eigendecomposition(M, size_cap=_DEFAULT_CAP):
-    """Full eigensystem of a symmetric matrix by cyclic Jacobi sweeps.
+def symmetric_eigendecomposition(M):
+    """Full eigensystem of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
     Returns (eigenvalues ascending, eigenvectors as matching columns).
-    Sweeps stop once the off-diagonal Frobenius norm falls below
-    1e-12 times the Frobenius norm of the input.
+    The input is symmetrized as (M + M^T) / 2 after the symmetry check.
     """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractError("matrix must be square")
-    p = A.shape[0]
-    if p > size_cap:
-        raise ContractError(f"matrix order {p} exceeds the cap {size_cap}")
     if np.abs(A - A.T).max() > 1e-10:
         raise ContractError("matrix must be symmetric")
-    A = (A + A.T) / 2.0
-    V = np.eye(p)
-    total = float(np.linalg.norm(A))
-    if p == 1 or total == 0.0:
-        return np.diag(A).copy(), V
-    target = 1e-12 * total
-
-    def off_norm(A):
-        # measured from the off-diagonal entries themselves; subtracting
-        # the diagonal energy from the total cancels catastrophically
-        # once the matrix is nearly diagonal
-        off = A - np.diag(np.diag(A))
-        return math.sqrt(float((off * off).sum()))
-
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        if off_norm(A) < target:
-            converged = True
-            break
-        for i in range(p - 1):
-            for q in range(i + 1, p):
-                apq = A[i, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[i, i]) / (2.0 * apq)
-                if abs(theta) > 1.0e150:
-                    # theta**2 would overflow; the rotation angle is
-                    # 1/(2*theta) to first order
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_i, row_q = A[i, :].copy(), A[q, :].copy()
-                A[i, :] = c * row_i - s * row_q
-                A[q, :] = s * row_i + c * row_q
-                col_i, col_q = A[:, i].copy(), A[:, q].copy()
-                A[:, i] = c * col_i - s * col_q
-                A[:, q] = s * col_i + c * col_q
-                A[i, q] = A[q, i] = 0.0
-                vi, vq = V[:, i].copy(), V[:, q].copy()
-                V[:, i] = c * vi - s * vq
-                V[:, q] = s * vi + c * vq
-    if not converged and off_norm(A) >= target:
-        raise NumericalError(
-            f"Jacobi sweeps did not converge within {_MAX_SWEEPS} passes")
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], V[:, order]
+    try:
+        return np.linalg.eigh((A + A.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
 
 def _kmeans(points, k, seed):
@@ -130,8 +77,19 @@ def _kmeans(points, k, seed):
     return best_labels
 
 
+def _first_appearance(labels):
+    """Renumber labels 0, 1, ... in the order they first occur."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
 def spectral_cluster(G, k, seed=0):
-    """Cluster vertices by k-means on the bottom-k eigenvector embedding."""
+    """Cluster vertices by k-means on the bottom-k eigenvector embedding.
+
+    Labels are numbered by first appearance in vertex order, so they do
+    not depend on how the eigensolver signs or rotates the basis of a
+    degenerate eigenspace.
+    """
     if not isinstance(G, GraphLaplacian):
         G = GraphLaplacian(np.asarray(G, dtype=np.float64))
     p = G.num_vertices
@@ -141,4 +99,4 @@ def spectral_cluster(G, k, seed=0):
         return ClusterAssignment(np.zeros(p, dtype=np.int64), 1)
     _, vectors = symmetric_eigendecomposition(G.matrix)
     labels = _kmeans(vectors[:, :k], k, seed)
-    return ClusterAssignment(np.asarray(labels, dtype=np.int64), k)
+    return ClusterAssignment(_first_appearance(labels).astype(np.int64), k)

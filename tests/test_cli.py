@@ -116,6 +116,23 @@ def test_eval_from_sta_responses(workspace):
     assert int(summary["converged"]) == 4
 
 
+def test_eval_without_converged_fits_writes_nothing(workspace, capsys):
+    # constant atoms carry no oscillation, so no fit converges and the
+    # phase histogram has nothing to bin
+    side = 4
+    atoms = np.full((side * side, 3), 1.0 / side)
+    cfg = TrainConfig(num_atoms=3, patch_side=side,
+                      penalty=PenaltyConfig("l1", 0.3), epochs=0)
+    prefix = workspace / "flat_model"
+    save_model(TrainedModel(Dictionary(atoms, side), cfg, np.zeros(0)), str(prefix))
+
+    code = entrypoint(["eval", "--model", str(prefix), "--source", "atoms",
+                       "--out", str(workspace / "flat")])
+    assert code == 1
+    assert "no converged fits to bin" in capsys.readouterr().err
+    assert list(workspace.glob("flat.*")) == []
+
+
 def test_render_produces_parseable_svg(workspace):
     out = workspace / "grid.svg"
     code = entrypoint(["render", "--tensor", str(workspace / "model.sct"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from locosparse import graphs
 from locosparse.errors import ConfigError, ContractError
 from locosparse.graphs import (GraphLaplacian, bipartite_laplacian,
                                knn_adjacency, laplacian_from_adjacency)
@@ -46,6 +47,36 @@ def test_knn_basic_properties():
     assert np.all(np.diag(W) == 0.0)
     assert set(np.unique(W)) <= {0.0, 1.0}
     assert np.all(W.sum(axis=1) >= 3)  # every vertex keeps its own k picks
+
+
+def _knn_adjacency_full(Y, k):
+    """Reference: one d x b x b difference tensor for all rows at once."""
+    b = Y.shape[1]
+    diff = Y[:, :, None] - Y[:, None, :]
+    d2 = np.einsum("dij,dij->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    W = np.zeros((b, b))
+    W[np.repeat(np.arange(b), k), order[:, :k].reshape(-1)] = 1.0
+    return np.maximum(W, W.T)
+
+
+def test_knn_row_blocks_match_full_tensor(monkeypatch):
+    rng = np.random.default_rng(4)
+    d, b = 3, 23
+    Y = rng.normal(size=(d, b))
+    # three copies of one point, split over the blocks of rows 0-3, 4-7, 8-11
+    Y[:, 4] = Y[:, 3]
+    Y[:, 8] = Y[:, 3]
+    monkeypatch.setattr(graphs, "_KNN_SCRATCH_BYTES", 4 * Y.itemsize * d * b)
+    for k in (1, 2, 3, 7):
+        assert np.array_equal(knn_adjacency(Y, k), _knn_adjacency_full(Y, k))
+    empty = np.zeros((0, 4))  # no features: every distance ties at zero
+    assert np.array_equal(knn_adjacency(empty, 2), _knn_adjacency_full(empty, 2))
+    W = knn_adjacency(Y, 1)
+    # each copy's zero-distance tie goes to the lower index, across blocks
+    assert W[3, 4] == W[3, 8] == 1.0
+    assert W[4, 8] == 0.0
 
 
 def test_knn_rejects_bad_k():

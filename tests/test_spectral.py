@@ -1,4 +1,4 @@
-"""Jacobi eigensolver and spectral clustering correctness."""
+"""Eigensolver and spectral clustering correctness."""
 
 import numpy as np
 import pytest
@@ -59,8 +59,16 @@ def test_eigendecomposition_input_validation():
         symmetric_eigendecomposition(np.zeros((2, 3)))
     with pytest.raises(ContractError):
         symmetric_eigendecomposition(np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(ContractError):
-        symmetric_eigendecomposition(np.eye(5), size_cap=4)
+
+
+def test_eigendecomposition_at_order_300():
+    rng = np.random.default_rng(13)
+    B = rng.normal(size=(300, 300))
+    M = (B + B.T) / 2.0
+    values, vectors = symmetric_eigendecomposition(M)
+    assert np.allclose(vectors.T @ vectors, np.eye(300), atol=1e-10)
+    assert np.allclose(vectors @ np.diag(values) @ vectors.T, M, atol=1e-9)
+    assert np.all(np.diff(values) >= 0.0)
 
 
 def _block_codes(rng, sizes):
@@ -113,6 +121,20 @@ def test_spectral_cluster_two_cliques():
     assert _partition(got.labels) == _partition([0, 0, 0, 1, 1, 1])
 
 
+def test_spectral_cluster_labels_number_by_first_appearance():
+    # three cliques, listed so that the last vertex opens the third one
+    W = np.zeros((7, 7))
+    for block in ([0, 3], [1, 2, 4], [5, 6]):
+        for i in block:
+            for j in block:
+                if i != j:
+                    W[i, j] = 1.0
+    G = laplacian_from_adjacency(W)
+    for seed in range(4):
+        got = spectral_cluster(G, 3, seed=seed)
+        assert got.labels.tolist() == [0, 1, 1, 0, 1, 2, 2]
+
+
 def test_spectral_cluster_accepts_raw_matrix():
     W = np.array([[0.0, 1.0], [1.0, 0.0]])
     G = np.diag(W.sum(axis=1)) - W
@@ -138,12 +160,8 @@ def test_cluster_assignment_validation():
         ClusterAssignment(np.array([0, 0]), 2)  # cluster 1 empty
 
 
-def test_jacobi_does_not_misreport_convergence():
-    # a matrix the solver can definitely finish: sanity that the
-    # NumericalError branch is not hit for ordinary inputs
-    rng = np.random.default_rng(11)
-    B = rng.normal(size=(12, 12))
-    try:
-        symmetric_eigendecomposition(B @ B.T)
-    except NumericalError:
-        pytest.fail("Jacobi sweeps should converge on a well-behaved matrix")
+def test_eigendecomposition_failure_raises_numerical_error():
+    # LAPACK reports no convergence on a non-finite matrix; the caller
+    # sees the package's NumericalError, not numpy's LinAlgError
+    with pytest.raises(NumericalError):
+        symmetric_eigendecomposition(np.full((3, 3), np.nan))
