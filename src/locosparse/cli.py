@@ -13,7 +13,7 @@ import numpy as np
 
 from .encoder import MOMENTUM_MODES, EncoderConfig, encode
 from .errors import LocosparseError
-from .gabor import fold_phase, gabor_fit, unfit_params
+from .gabor import fold_phase, gabor_fit, shape_metrics, unfit_params
 from .graphs import bipartite_laplacian, knn_adjacency, laplacian_from_adjacency
 from .manifest import write_manifest
 from .penalties import KINDS, PenaltyConfig
@@ -210,10 +210,7 @@ def _cmd_eval(args, command):
         fh.write("neuron_id,K,u0,v0,theta_rad,sigma_x,sigma_y,freq,phase_rad,"
                  "phase_folded_deg,n_x,n_y,residual,converged\n")
         for j, p in enumerate(params):
-            if p.converged:
-                n_x, n_y = p.sigma_x * p.freq, p.sigma_y * p.freq
-            else:
-                n_x, n_y = float("nan"), float("nan")
+            n_x, n_y = shape_metrics(p) if p.converged else (float("nan"), float("nan"))
             row = [str(j), _fmt_float(p.amplitude), _fmt_float(p.u0),
                    _fmt_float(p.v0), _fmt_float(p.theta), _fmt_float(p.sigma_x),
                    _fmt_float(p.sigma_y), _fmt_float(p.freq), _fmt_float(p.phase),

@@ -3,9 +3,11 @@
 The model is g(u, v) = K exp(-(u'^2 / 2 sigma_x^2 + v'^2 / 2 sigma_y^2))
 * cos(2 pi f u' + phi), with (u', v') the image coordinates rotated by
 theta about the center (u0, v0); u is the column index and v the row
-index. Fitting runs a coarse grid over (theta, f, phi) with closed-form
-amplitude, then refines the best starts with a damped Gauss-Newton
-loop, and finally canonicalizes the parameters into fixed ranges.
+index. Fitting scores a (theta, f, phi) grid with closed-form amplitude
+as one broadcast (candidate, pixel) tensor, refines the best starts with
+damped Gauss-Newton (Levenberg-Marquardt), and canonicalizes the result
+into fixed ranges. Each trial is evaluated once, and an accepted trial's
+shared terms (rotated coordinates, envelope, phase) give the next Jacobian.
 """
 
 import math
@@ -18,6 +20,11 @@ from .errors import ContractError, DegenerateInputError
 _GRID_THETAS = np.linspace(0.0, np.pi, 12, endpoint=False)
 _GRID_FREQS = np.geomspace(0.05, 0.45, 8)
 _GRID_PHASES = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+# candidates (theta, f, phi), phi fastest; cos/sin per theta from scalar calls as in _evaluate
+_GRID = np.stack(np.meshgrid(_GRID_THETAS, _GRID_FREQS, _GRID_PHASES, indexing="ij"),
+                 axis=-1).reshape(-1, 3)
+_GRID_COS = np.array([[np.cos(t)] for t in _GRID_THETAS])
+_GRID_SIN = np.array([[np.sin(t)] for t in _GRID_THETAS])
 
 _SIGMA_FLOOR = 0.25
 _FREQ_FLOOR = 1e-3
@@ -46,75 +53,96 @@ def _vector(p):
                      p.sigma_x, p.sigma_y, p.freq, p.phase])
 
 
-def _gabor_image(q, uu, vv):
-    K, u0, v0, theta, sx, sy, f, phi = q
-    du, dv = uu - u0, vv - v0
-    ct, st = np.cos(theta), np.sin(theta)
-    up = du * ct + dv * st
-    vp = -du * st + dv * ct
-    env = np.exp(-(up * up / (2.0 * sx * sx) + vp * vp / (2.0 * sy * sy)))
-    return K * env * np.cos(2.0 * np.pi * f * up + phi)
+def _coords(side):
+    """Column (u) and row (v) index of every pixel, row-major, as floats."""
+    idx = np.arange(side, dtype=np.float64)
+    return np.tile(idx, side), np.repeat(idx, side)
 
 
-def _gabor_jacobian(q, uu, vv):
+def _evaluate(q, u, v):
+    """The model image at q on pixels (u, v), and a function returning its
+    Jacobian (one row per pixel) from this evaluation's terms."""
     K, u0, v0, theta, sx, sy, f, phi = q
-    du, dv = uu - u0, vv - v0
+    du, dv = u - u0, v - v0
     ct, st = np.cos(theta), np.sin(theta)
     up = du * ct + dv * st
     vp = -du * st + dv * ct
     env = np.exp(-(up * up / (2.0 * sx * sx) + vp * vp / (2.0 * sy * sy)))
     arg = 2.0 * np.pi * f * up + phi
-    cosa, sina = np.cos(arg), np.sin(arg)
-    d_up = K * env * (-(up / (sx * sx)) * cosa - 2.0 * np.pi * f * sina)
-    d_vp = K * env * (-(vp / (sy * sy)) * cosa)
-    cols = (
-        env * cosa,                                   # amplitude
-        -ct * d_up + st * d_vp,                       # u0
-        -st * d_up - ct * d_vp,                       # v0
-        vp * d_up - up * d_vp,                        # theta
-        K * env * cosa * (up * up / (sx ** 3)),       # sigma_x
-        K * env * cosa * (vp * vp / (sy ** 3)),       # sigma_y
-        -K * env * sina * (2.0 * np.pi * up),         # freq
-        -K * env * sina,                              # phase
-    )
-    return np.stack([c.ravel() for c in cols], axis=1)
+    kenv = K * env
+    cosa = np.cos(arg)
+    image = kenv * cosa
+
+    def jacobian():
+        sina = np.sin(arg)
+        d_up = kenv * (-(up / (sx * sx)) * cosa - 2.0 * np.pi * f * sina)
+        d_vp = kenv * (-(vp / (sy * sy)) * cosa)
+        J = np.empty((up.size, 8))
+        J[:, 0] = env * cosa                            # amplitude
+        J[:, 1] = -ct * d_up + st * d_vp                # u0
+        J[:, 2] = -st * d_up - ct * d_vp                # v0
+        J[:, 3] = vp * d_up - up * d_vp                 # theta
+        J[:, 4] = image * (up * up / (sx ** 3))         # sigma_x
+        J[:, 5] = image * (vp * vp / (sy ** 3))         # sigma_y
+        J[:, 7] = -(kenv * sina)                        # phase
+        J[:, 6] = J[:, 7] * (2.0 * np.pi * up)          # freq
+        return J
+    return image, jacobian
 
 
 def render_gabor(params, side):
     """Evaluate a Gabor on a side x side pixel grid."""
-    vv, uu = np.mgrid[0:side, 0:side]
     q = _vector(params) if isinstance(params, GaborParams) else np.asarray(params, float)
-    return _gabor_image(q, uu.astype(np.float64), vv.astype(np.float64))
+    return _evaluate(q, *_coords(side))[0].reshape(side, side)
 
 
 def _plausible(q):
     sx, sy, f = abs(q[4]), abs(q[5]), abs(q[6])
-    return (np.all(np.isfinite(q)) and sx > _SIGMA_FLOOR and sy > _SIGMA_FLOOR
+    return (all(map(math.isfinite, q)) and sx > _SIGMA_FLOOR and sy > _SIGMA_FLOOR
             and _FREQ_FLOOR < f < _FREQ_CEIL)
 
 
-def _centered_model(q, uu, vv):
-    # the DC direction is quotiented out of the fit, so compare the
-    # model in the same zero-mean subspace as the target
-    flat = _gabor_image(q, uu, vv).ravel()
-    return flat - flat.mean()
+def _coarse_grid(flat, u, v, u0, v0, sigma0, num_starts):
+    """(sse, amp) of every grid candidate, and the num_starts best start vectors.
+
+    Rows follow _evaluate's elementwise steps, and a stacked 1 x n @ n x 1
+    matmul sums in the same order as a 1-D @, so each score is bit-identical
+    to scoring its candidate alone.
+    """
+    n = flat.size
+    du, dv = u - u0, v - v0
+    up = du * _GRID_COS + dv * _GRID_SIN
+    vp = -du * _GRID_SIN + dv * _GRID_COS
+    env = np.exp(-(up * up / (2.0 * sigma0 * sigma0) + vp * vp / (2.0 * sigma0 * sigma0)))
+    arg = (2.0 * np.pi * _GRID_FREQS)[:, None, None] * up[:, None, None, :] + _GRID_PHASES[:, None]
+    shapes = (env[:, None, None, :] * np.cos(arg)).reshape(-1, n)
+    # the fit quotients out DC: compare in the target's zero-mean subspace
+    shapes -= shapes.sum(axis=1, keepdims=True) / n
+    rows = shapes[:, None, :]
+    denom = (rows @ shapes[:, :, None]).ravel()
+    amp = np.zeros_like(denom)
+    np.divide((rows @ flat[:, None]).ravel(), denom, out=amp, where=denom > 0.0)
+    sse = ((amp[:, None] * shapes - flat) ** 2).sum(axis=1)
+    best = np.argsort(sse, kind="stable")[:num_starts]
+    starts = [np.array([amp[i], u0, v0, theta, sigma0, sigma0, f, phi])
+              for i, (theta, f, phi) in zip(best, _GRID[best])]
+    return sse, amp, starts
 
 
-def _refine(q, flat, uu, vv, max_iters, step_tol):
+def _refine(q, flat, u, v, max_iters, step_tol):
     """Damped Gauss-Newton; returns (params, sse, step_tol_met)."""
-    q = q.copy()
-    resid = _centered_model(q, uu, vv) - flat
+    n = flat.size
+    image, jacobian = _evaluate(q.tolist(), u, v)
+    resid = image - image.sum() / n - flat
     sse = float(resid @ resid)
     mu = 1e-3
     hit = False
     eye = np.eye(q.size)
     for _ in range(max_iters):
-        J = _gabor_jacobian(q, uu, vv)
-        J -= J.mean(axis=0, keepdims=True)
+        J = jacobian()
+        J -= J.sum(axis=0) / n
         g = J.T @ resid
         H = J.T @ J
-        accepted = False
-        delta = None
         for _ in range(50):
             try:
                 delta = np.linalg.solve(H + mu * eye, -g)
@@ -122,20 +150,21 @@ def _refine(q, flat, uu, vv, max_iters, step_tol):
                 mu *= 10.0
                 continue
             trial = q + delta
-            if not _plausible(trial):
+            trial_q = trial.tolist()
+            if not _plausible(trial_q):
                 mu *= 10.0
                 continue
-            trial_resid = _centered_model(trial, uu, vv) - flat
+            image, trial_jacobian = _evaluate(trial_q, u, v)
+            trial_resid = image - image.sum() / n - flat
             trial_sse = float(trial_resid @ trial_resid)
-            if np.isfinite(trial_sse) and trial_sse <= sse:
-                q, resid, sse = trial, trial_resid, trial_sse
+            if math.isfinite(trial_sse) and trial_sse <= sse:
+                q, resid, sse, jacobian = trial, trial_resid, trial_sse, trial_jacobian
                 mu = max(mu / 10.0, 1e-12)
-                accepted = True
                 break
             mu *= 10.0
-        if not accepted:
+        else:  # no acceptable step in 50 tries
             break
-        if np.linalg.norm(delta) <= step_tol * (1.0 + np.linalg.norm(q)):
+        if math.sqrt(delta @ delta) <= step_tol * (1.0 + math.sqrt(q @ q)):
             hit = True
             break
     return q, sse, hit
@@ -181,6 +210,8 @@ def gabor_fit(rf, max_iters=200, step_tol=1e-8, num_starts=3):
     img = np.asarray(rf.image if hasattr(rf, "image") else rf, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
         raise ContractError("receptive field must be a square image")
+    if not np.isfinite(img).all():
+        raise ContractError("receptive field must be finite")
     side = img.shape[0]
     if not img.any():
         raise DegenerateInputError("all-zero receptive field")
@@ -189,30 +220,16 @@ def gabor_fit(rf, max_iters=200, step_tol=1e-8, num_starts=3):
     if tnorm == 0.0:
         return unfit_params(side)
 
-    vv, uu = np.mgrid[0:side, 0:side]
-    uu = uu.astype(np.float64)
-    vv = vv.astype(np.float64)
+    u, v = _coords(side)
     flat = target.ravel()
     peak = np.unravel_index(int(np.argmax(np.abs(target))), target.shape)
     u0, v0 = float(peak[1]), float(peak[0])
     sigma0 = side / 4.0
-
-    candidates = []
-    for theta in _GRID_THETAS:
-        for f in _GRID_FREQS:
-            for phi in _GRID_PHASES:
-                q = np.array([1.0, u0, v0, theta, sigma0, sigma0, f, phi])
-                shape = _centered_model(q, uu, vv)
-                denom = float(shape @ shape)
-                amp = float(shape @ flat) / denom if denom > 0.0 else 0.0
-                sse = float(((amp * shape - flat) ** 2).sum())
-                candidates.append((sse, amp, theta, f, phi))
-    candidates.sort(key=lambda item: item[0])
+    _, _, starts = _coarse_grid(flat, u, v, u0, v0, sigma0, num_starts)
 
     best_q, best_sse, best_hit = None, np.inf, False
-    for _, amp, theta, f, phi in candidates[:num_starts]:
-        start = np.array([amp, u0, v0, theta, sigma0, sigma0, f, phi])
-        refined, sse, hit = _refine(start, flat, uu, vv, max_iters, step_tol)
+    for start in starts:
+        refined, sse, hit = _refine(start, flat, u, v, max_iters, step_tol)
         if sse < best_sse:
             best_q, best_sse, best_hit = refined, sse, hit
     q = canonical_vector(best_q)

@@ -4,7 +4,8 @@ Everything here is deliberately written with a different algorithmic
 strategy than the library code it validates: support enumeration instead
 of sort-and-threshold, finite differences instead of analytic gradients,
 classical largest-pivot Jacobi instead of cyclic sweeps, breadth-first
-search instead of spectral structure.
+search instead of spectral structure, one candidate at a time instead of
+a broadcast tensor.
 """
 
 import itertools
@@ -118,3 +119,36 @@ def pairwise_sq_distances_loops(A, Y):
             diff = Y[:, i] - A[:, j]
             out[j, i] = float(diff @ diff)
     return out
+
+
+def gabor_grid_loop(flat, side, u0, v0, sigma0, thetas, freqs, phases, num_starts):
+    """Score a Gabor start grid one (theta, f, phi) candidate at a time.
+
+    Each candidate is rendered on the 2-D pixel grid, centred with
+    .mean(), and dotted with 1-D @, and a stable Python sort orders
+    them. Returns the (sse, amp) of every candidate in loop order and
+    the start vectors (amp, u0, v0, theta, sigma0, sigma0, f, phi) of
+    the num_starts best.
+    """
+    vv, uu = np.mgrid[0:side, 0:side]
+    du, dv = uu.astype(np.float64) - u0, vv.astype(np.float64) - v0
+    scores, candidates = [], []
+    for theta in thetas:
+        ct, st = np.cos(theta), np.sin(theta)
+        for f in freqs:
+            for phi in phases:
+                up = du * ct + dv * st
+                vp = -du * st + dv * ct
+                env = np.exp(-(up * up / (2.0 * sigma0 * sigma0)
+                               + vp * vp / (2.0 * sigma0 * sigma0)))
+                shape = (env * np.cos(2.0 * np.pi * f * up + phi)).ravel()
+                shape = shape - shape.mean()
+                denom = float(shape @ shape)
+                amp = float(shape @ flat) / denom if denom > 0.0 else 0.0
+                sse = float(((amp * shape - flat) ** 2).sum())
+                scores.append((sse, amp))
+                candidates.append((sse, amp, theta, f, phi))
+    candidates.sort(key=lambda c: c[0])
+    starts = [np.array([amp, u0, v0, theta, sigma0, sigma0, f, phi])
+              for _, amp, theta, f, phi in candidates[:num_starts]]
+    return scores, starts

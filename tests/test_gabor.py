@@ -8,9 +8,10 @@ import pytest
 from locosparse.errors import ContractError, DegenerateInputError
 from locosparse.gabor import (GaborParams, canonical_vector, fold_phase,
                               gabor_fit, render_gabor, shape_metrics)
-from locosparse.gabor import _gabor_jacobian, _vector
+from locosparse.gabor import (_GRID_FREQS, _GRID_PHASES, _GRID_THETAS,
+                              _coarse_grid, _coords, _evaluate, _vector)
 
-from oracles import fd_gradient
+from oracles import fd_gradient, gabor_grid_loop
 
 
 def _params(**kw):
@@ -81,16 +82,38 @@ def test_fit_is_deterministic():
 
 def test_jacobian_matches_finite_differences():
     side = 10
-    vv, uu = np.mgrid[0:side, 0:side]
-    uu = uu.astype(np.float64)
-    vv = vv.astype(np.float64)
     q0 = np.array([0.8, 4.2, 5.1, 0.7, 2.0, 3.0, 0.21, 0.5])
-    J = _gabor_jacobian(q0, uu, vv)
+    image, jacobian = _evaluate(q0, *_coords(side))
+    assert np.array_equal(image, render_gabor(q0, side).ravel())
+    J = jacobian()
     for pix in (0, 17, 44, 99):
         def value(q):
             return render_gabor(q, side).ravel()[pix]
         grad = fd_gradient(value, q0)
         assert np.allclose(J[pix], grad, atol=1e-5)
+
+
+@pytest.mark.parametrize("side", [8, 15])
+@pytest.mark.parametrize("kind", ["gabor", "noisy", "random"])
+def test_coarse_grid_matches_per_candidate_loop(kind, side):
+    # the broadcast grid must score every candidate and pick every start
+    # exactly as scoring the candidates one at a time does
+    rng = np.random.default_rng(side)
+    center = (side - 1) / 2.0
+    img = render_gabor(_params(u0=center, v0=center + 0.7, sigma_x=side / 6.0,
+                               sigma_y=side / 5.0), side)
+    if kind == "noisy":
+        img = img + 0.2 * rng.normal(size=img.shape)
+    elif kind == "random":
+        img = rng.normal(size=img.shape)
+    flat = (img - img.mean()).ravel()
+    peak = int(np.argmax(np.abs(flat)))
+    u0, v0 = float(peak % side), float(peak // side)
+    sse, amp, starts = _coarse_grid(flat, *_coords(side), u0, v0, side / 4.0, 3)
+    scores, want_starts = gabor_grid_loop(flat, side, u0, v0, side / 4.0, _GRID_THETAS,
+                                          _GRID_FREQS, _GRID_PHASES, 3)
+    assert np.array(scores).tobytes() == np.stack([sse, amp], axis=1).tobytes()
+    assert np.array(starts).tobytes() == np.array(want_starts).tobytes()
 
 
 def test_canonical_vector_preserves_image():
@@ -140,6 +163,11 @@ def test_gabor_fit_input_contracts():
         gabor_fit(np.zeros((4, 5)))
     with pytest.raises(DegenerateInputError):
         gabor_fit(np.zeros((8, 8)))
+    for bad in (np.nan, np.inf):
+        img = render_gabor(_params(), 16)
+        img[3, 4] = bad
+        with pytest.raises(ContractError, match="finite"):
+            gabor_fit(img)
 
 
 def test_constant_field_does_not_converge():
