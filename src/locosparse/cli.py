@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 import argparse
-import dataclasses
 import shlex
 import sys
 import time
@@ -182,16 +181,11 @@ def _cmd_eval(args, command):
         fields = [ReceptiveField(atoms[:, j].reshape(side, side), j, 1.0)
                   for j in range(atoms.shape[1])]
     else:
-        base_cfg = EncoderConfig(PenaltyConfig(meta["penalty"], meta["lambda"]),
-                                 meta["steps"], meta["momentum_mode"])
-        knn_k = meta["knn_k"]
+        penalty = PenaltyConfig(meta["penalty"], meta["lambda"])
 
         def respond(Y):
-            cfg = base_cfg
-            if cfg.penalty.kind == "lap":
-                graph = laplacian_from_adjacency(knn_adjacency(Y, knn_k))
-                cfg = dataclasses.replace(
-                    cfg, penalty=dataclasses.replace(cfg.penalty, laplacian=graph.matrix))
+            cfg = EncoderConfig(penalty.with_batch_graph(Y, meta["knn_k"]),
+                                meta["steps"], meta["momentum_mode"])
             return encode(Y, atoms, cfg)[0]
 
         fields = sta_receptive_fields(respond, side, args.samples, args.seed)

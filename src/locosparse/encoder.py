@@ -1,11 +1,12 @@
-"""The unrolled encoder: momentum-accelerated projected gradient steps.
+"""The unrolled encoder: momentum-accelerated proximal gradient steps.
 
-Codes start at zero and take a fixed number of gradient steps on the
-composite objective, each followed by the simplex projection (wl and
-lap penalties) or by soft thresholding (the l1 baseline, where a
-simplex constraint would pin the l1 norm to one and neuter the
-penalty). The step size is the inverse squared spectral norm of the
-dictionary unless overridden.
+Codes start at zero and take a fixed number of steps on the composite
+batch objective that `penalties` defines: a gradient step on its smooth
+part, then its proximal step, the simplex projection (wl and lap
+penalties) or soft thresholding (the l1 baseline, where a simplex
+constraint would pin the l1 norm to one and neuter the penalty). The
+step size is the inverse squared spectral norm of the dictionary unless
+overridden.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ from .errors import (ConfigError, ContractError, DegenerateInputError,
                      DivergenceError)
 from .penalties import PenaltyConfig
 from .rng import CounterRng, derive_seed
-from .simplex import pairwise_sq_distances, project_columns
 
 MOMENTUM_MODES = ("aswritten", "fista", "none")
 
@@ -48,7 +48,6 @@ class MomentumSchedule:
 @dataclass(frozen=True)
 class EncodeTrace:
     objective_per_step: np.ndarray  # objective at init and after each step
-    final_code: np.ndarray
 
 
 def momentum_schedule(steps, mode):
@@ -131,55 +130,23 @@ def encode(Y, A, cfg):
     if Y.ndim == 1:
         Y = Y[:, None]
     A = np.asarray(A, dtype=np.float64)
-    if Y.ndim != 2 or A.ndim != 2 or A.shape[0] != Y.shape[0]:
-        raise ContractError(f"shape mismatch: Y {Y.shape} vs A {A.shape}")
-    pen = cfg.penalty
-    if pen is None:
+    if cfg.penalty is None:
         raise ConfigError("encoder config carries no penalty")
-    lam = pen.lam
-    m, n = A.shape[1], Y.shape[1]
-
-    Gsym = None
-    if pen.kind == "lap":
-        if pen.laplacian is None:
-            raise ConfigError("lap penalty requires a graph Laplacian")
-        G = np.asarray(pen.laplacian, dtype=np.float64)
-        if G.shape != (n, n):
-            raise ContractError(f"laplacian is {G.shape} but the batch has {n} columns")
-        Gsym = G + G.T
-    D = pairwise_sq_distances(A, Y) if pen.kind == "wl" else None
+    pen = cfg.penalty.bind(A, Y)
 
     alpha = (cfg.step_size_override if cfg.step_size_override is not None
              else spectral_norm_sq_inv(A))
     sched = momentum_schedule(cfg.steps, cfg.momentum_mode)
 
-    def objective(X):
-        resid = Y - A @ X
-        fit = 0.5 * float((resid * resid).sum())
-        if pen.kind == "l1":
-            return fit + lam * float(np.abs(X).sum())
-        if pen.kind == "wl":
-            return fit + lam * float((D * X).sum())
-        return fit + lam * float(((X @ G) * X).sum())
-
-    X = np.zeros((m, n))
+    X = np.zeros((A.shape[1], Y.shape[1]))
     lookahead = X
     objs = np.empty(cfg.steps + 1)
-    objs[0] = objective(X)
+    objs[0] = pen.objective(X)
     for t in range(cfg.steps):
-        if pen.kind == "l1":
-            step = lookahead - alpha * (A.T @ (A @ lookahead - Y))
-            Xn = np.sign(step) * np.maximum(np.abs(step) - alpha * lam, 0.0)
-        else:
-            grad = A.T @ (A @ lookahead - Y)
-            if pen.kind == "wl":
-                grad = grad + lam * D
-            else:
-                grad = grad + lam * (lookahead @ Gsym)
-            Xn = project_columns(lookahead - alpha * grad)
+        Xn = pen.prox(lookahead - alpha * pen.code_gradient(lookahead), alpha)
         if not np.all(np.isfinite(Xn)):
             raise DivergenceError(f"encoder produced non-finite values at step {t}")
         lookahead = Xn + sched.gammas[t] * (Xn - X)
         X = Xn
-        objs[t + 1] = objective(X)
-    return X, EncodeTrace(objs, X)
+        objs[t + 1] = pen.objective(X)
+    return X, EncodeTrace(objs)

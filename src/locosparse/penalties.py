@@ -1,16 +1,22 @@
-"""Sparsity penalties and their analytic gradients.
+"""The composite batch objective: a data term plus one sparsity penalty.
 
 Three penalties are supported: plain l1, a weighted-l1 locality charge
 that prices activation by the squared stimulus-to-atom distance, and a
-graph Laplacian smoothness term coupling the codes of a batch.
+graph Laplacian smoothness term coupling the codes of a batch. This
+module is the one definition of each penalty's value, its gradient in
+the codes, the proximal step that follows a gradient step, and the
+gradient in the atoms; the encoder and the dictionary update both call
+it. Every value is a sum over the batch, not a mean.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .simplex import atom_distances, pairwise_sq_distances
+from .graphs import knn_adjacency, laplacian_from_adjacency
+from .simplex import pairwise_sq_distances, project_columns
 
 KINDS = ("l1", "wl", "lap")
 
@@ -19,9 +25,9 @@ KINDS = ("l1", "wl", "lap")
 class PenaltyConfig:
     """Penalty selection: kind in {l1, wl, lap} with weight lam.
 
-    For the lap kind the graph is supplied at application time (training
-    rebuilds it per batch), so `laplacian` may stay None here; users of
-    the penalty validate its presence and size.
+    For the lap kind the graph belongs to a batch (`with_batch_graph`
+    builds it), so `laplacian` may stay None here; `bind` checks that it
+    is present and matches the batch.
     """
 
     kind: str
@@ -38,80 +44,80 @@ class PenaltyConfig:
             if G.ndim != 2 or G.shape[0] != G.shape[1]:
                 raise ConfigError("laplacian must be a square matrix")
 
+    def with_batch_graph(self, Y, knn_k):
+        """This penalty for the batch Y: lap gets the Laplacian of the
+        binary kNN graph over Y's columns; l1 and wl return unchanged."""
+        if self.kind != "lap":
+            return self
+        graph = laplacian_from_adjacency(knn_adjacency(Y, knn_k))
+        return dataclasses.replace(self, laplacian=graph.matrix)
 
-def l1_penalty(X, lam):
-    """lam * sum |x_ij|."""
-    return float(lam * np.abs(np.asarray(X, dtype=np.float64)).sum())
+    def bind(self, A, Y):
+        """The batch objective of codes X for dictionary A and stimuli Y."""
+        return BatchObjective(self, A, Y)
+
+    def atom_gradient(self, A, Y, X):
+        """Gradient in A of 1/2 ||Y - AX||_F^2 plus the penalty.
+
+        Only the wl charge depends on the atoms: column j of its part is
+        sum_i 2 lam x_ji (a_j - y_i), which collapses to
+        2 lam (A diag(X 1) - Y X^T).
+        """
+        fit = (A @ X - Y) @ X.T
+        if self.kind != "wl":
+            return fit
+        totals = X.sum(axis=1)
+        return fit + 2.0 * self.lam * (A * totals[None, :] - Y @ X.T)
 
 
-def wl_penalty(Y, A, X, lam):
-    """Locality charge lam * mean_i sum_j x_ji ||y_i - a_j||^2."""
-    Y = np.asarray(Y, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if (Y.ndim != 2 or A.ndim != 2 or X.ndim != 2 or A.shape[0] != Y.shape[0]
-            or X.shape[0] != A.shape[1] or X.shape[1] != Y.shape[1]):
-        raise ContractError(f"shape mismatch: Y {Y.shape}, A {A.shape}, X {X.shape}")
-    D = pairwise_sq_distances(A, Y)
-    return float(lam * (D * X).sum() / Y.shape[1])
+class BatchObjective:
+    """1/2 ||Y - AX||_F^2 + penalty(X) for a fixed dictionary and batch.
 
-
-def wl_code_gradient(y, A, x, lam):
-    """Gradient in x of 1/2 ||y - Ax||^2 + lam * sum_j x_j ||y - a_j||^2.
-
-    Accepts a single column (1-D y and x) or a whole batch (2-D), where
-    the batch form stacks the per-column gradients.
+    The penalty is lam * sum |x_ji| (l1), lam * sum_ji x_ji ||y_i - a_j||^2
+    (wl) or lam * tr(X G X^T) (lap). The wl distances and the lap
+    G + G^T are computed once here, not once per step.
     """
-    y = np.asarray(y, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if y.ndim == 1 and x.ndim == 1:
-        if A.ndim != 2 or A.shape[0] != y.size or A.shape[1] != x.size:
-            raise ContractError(f"shape mismatch: y {y.shape}, A {A.shape}, x {x.shape}")
-        return A.T @ (A @ x - y) + lam * atom_distances(y, A)
-    if y.ndim == 2 and x.ndim == 2:
-        if (A.ndim != 2 or A.shape[0] != y.shape[0] or A.shape[1] != x.shape[0]
-                or x.shape[1] != y.shape[1]):
-            raise ContractError(f"shape mismatch: Y {y.shape}, A {A.shape}, X {x.shape}")
-        return A.T @ (A @ x - y) + lam * pairwise_sq_distances(A, y)
-    raise ContractError("y and x must both be vectors or both be matrices")
 
+    def __init__(self, penalty, A, Y):
+        A = np.asarray(A, dtype=np.float64)
+        Y = np.asarray(Y, dtype=np.float64)
+        if Y.ndim != 2 or A.ndim != 2 or A.shape[0] != Y.shape[0]:
+            raise ContractError(f"shape mismatch: Y {Y.shape} vs A {A.shape}")
+        self.kind, self.lam, self.A, self.Y = penalty.kind, penalty.lam, A, Y
+        if self.kind == "wl":
+            self.D = pairwise_sq_distances(A, Y)
+        elif self.kind == "lap":
+            if penalty.laplacian is None:
+                raise ConfigError("lap penalty requires a graph Laplacian")
+            self.G = np.asarray(penalty.laplacian, dtype=np.float64)
+            n = Y.shape[1]
+            if self.G.shape != (n, n):
+                raise ContractError(
+                    f"laplacian is {self.G.shape} but the batch has {n} columns")
+            self.Gsym = self.G + self.G.T
 
-def lap_penalty(X, G, lam):
-    """lam * tr(X G X^T)."""
-    X = np.asarray(X, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
-    if X.ndim != 2 or G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] != X.shape[1]:
-        raise ContractError(f"shape mismatch: X {X.shape} vs G {G.shape}")
-    return float(lam * ((X @ G) * X).sum())
+    def objective(self, X):
+        """The objective summed over the batch."""
+        resid = self.Y - self.A @ X
+        fit = 0.5 * float((resid * resid).sum())
+        if self.kind == "l1":
+            return fit + self.lam * float(np.abs(X).sum())
+        if self.kind == "wl":
+            return fit + self.lam * float((self.D * X).sum())
+        return fit + self.lam * float(((X @ self.G) * X).sum())
 
+    def code_gradient(self, X):
+        """Gradient in X of the smooth part; l1's charge goes to `prox`."""
+        grad = self.A.T @ (self.A @ X - self.Y)
+        if self.kind == "wl":
+            return grad + self.lam * self.D
+        if self.kind == "lap":
+            return grad + self.lam * (X @ self.Gsym)
+        return grad
 
-def lap_code_gradient(A, Y, X, G, lam):
-    """Batch gradient A^T (AX - Y) + lam * X (G + G^T)."""
-    A = np.asarray(A, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
-    if (A.ndim != 2 or Y.ndim != 2 or X.ndim != 2 or G.ndim != 2
-            or A.shape[0] != Y.shape[0] or X.shape[0] != A.shape[1]
-            or X.shape[1] != Y.shape[1] or G.shape != (X.shape[1], X.shape[1])):
-        raise ContractError(
-            f"shape mismatch: A {A.shape}, Y {Y.shape}, X {X.shape}, G {G.shape}")
-    return A.T @ (A @ X - Y) + lam * (X @ (G + G.T))
-
-
-def wl_atom_gradient(Y, A, X, lam):
-    """Gradient in A of 1/2 ||Y - AX||_F^2 plus the locality charge.
-
-    Column j of the locality part is sum_i 2 lam x_ji (a_j - y_i), which
-    collapses to 2 lam (A diag(X 1) - Y X^T).
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if (Y.ndim != 2 or A.ndim != 2 or X.ndim != 2 or A.shape[0] != Y.shape[0]
-            or X.shape[0] != A.shape[1] or X.shape[1] != Y.shape[1]):
-        raise ContractError(f"shape mismatch: Y {Y.shape}, A {A.shape}, X {X.shape}")
-    fit = (A @ X - Y) @ X.T
-    totals = X.sum(axis=1)
-    return fit + 2.0 * lam * (A * totals[None, :] - Y @ X.T)
+    def prox(self, Z, alpha):
+        """The step after a gradient step of size alpha: soft thresholding
+        for l1, the column-wise simplex projection for wl and lap."""
+        if self.kind == "l1":
+            return np.sign(Z) * np.maximum(np.abs(Z) - alpha * self.lam, 0.0)
+        return project_columns(Z)

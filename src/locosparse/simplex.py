@@ -1,4 +1,4 @@
-"""Probability-simplex projection and per-atom distance terms."""
+"""Probability-simplex projection and stimulus-to-atom squared distances."""
 
 import numpy as np
 
@@ -8,26 +8,24 @@ from .errors import ContractError
 def project_simplex(x):
     """Euclidean projection of a vector onto {z : z >= 0, sum(z) = 1}.
 
-    Realized as relu(x + b) with the shift b found by the sort rule:
-    sort descending as u, take the largest j with
-    u_j + (1 - sum_{k<=j} u_k)/j > 0, and set b to that bracketed mean.
+    The single-column case of `project_columns`, so it runs the very
+    arithmetic the encoder does.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ContractError("project_simplex expects a non-empty vector")
     if not np.all(np.isfinite(v)):
         raise ContractError("project_simplex requires finite entries")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    mask = u + (1.0 - css) / j > 0.0
-    rho = int(j[mask].max())
-    b = (1.0 - css[rho - 1]) / rho
-    return np.maximum(v + b, 0.0)
+    return project_columns(v[:, None])[:, 0]
 
 
 def project_columns(X):
-    """Column-wise simplex projection of an m x n matrix."""
+    """Column-wise simplex projection of an m x n matrix.
+
+    Each column v becomes relu(v + b) with the shift b found by the sort
+    rule: sort descending as u, take the largest j with
+    u_j + (1 - sum_{k<=j} u_k)/j > 0, and set b to that bracketed mean.
+    """
     M = np.asarray(X, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] < 1:
         raise ContractError("project_columns expects an m x n matrix with m >= 1")
@@ -44,16 +42,6 @@ def project_columns(X):
     return np.maximum(M + b[None, :], 0.0)
 
 
-def atom_distances(y, A):
-    """Squared distances ||y - a_j||^2 to every dictionary column."""
-    yv = np.asarray(y, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    if yv.ndim != 1 or A.ndim != 2 or A.shape[0] != yv.size:
-        raise ContractError(f"shape mismatch: y {yv.shape} vs A {A.shape}")
-    diff = A - yv[:, None]
-    return np.einsum("dm,dm->m", diff, diff)
-
-
 def pairwise_sq_distances(A, Y):
     """Matrix D with D[j, i] = ||y_i - a_j||^2.
 
@@ -66,8 +54,3 @@ def pairwise_sq_distances(A, Y):
         raise ContractError(f"shape mismatch: A {A.shape} vs Y {Y.shape}")
     diff = A[:, :, None] - Y[:, None, :]
     return np.einsum("dmn,dmn->mn", diff, diff)
-
-
-def quadratic_neuron(y, A):
-    """Total squared distance from a stimulus to the whole dictionary."""
-    return float(atom_distances(y, A).sum())

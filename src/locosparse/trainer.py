@@ -14,9 +14,8 @@ import numpy as np
 from .encoder import EncoderConfig, encode
 from .errors import (ConfigError, ContractError, DivergenceError, FormatError,
                      StorageError, ValidationError)
-from .graphs import knn_adjacency, laplacian_from_adjacency
 from .patches import PatchSamplerConfig, sample_patches
-from .penalties import PenaltyConfig, wl_atom_gradient
+from .penalties import PenaltyConfig
 from .rng import CounterRng, derive_seed
 from .tensor import load_tensor, save_tensor
 
@@ -88,22 +87,13 @@ def init_dictionary(d, m, seed):
     return atoms / norms
 
 
-def decode(A, X):
-    """Linear readout AX."""
-    atoms = A.atoms if isinstance(A, Dictionary) else np.asarray(A, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if atoms.ndim != 2 or X.ndim != 2 or atoms.shape[1] != X.shape[0]:
-        raise ContractError(f"shape mismatch: A {atoms.shape} vs X {X.shape}")
-    return atoms @ X
-
-
 def dictionary_step(A, Y, X, penalty, lr, rng=None):
     """One gradient step on the atoms, renormalized column-wise.
 
-    The data term is (AX - Y) X^T; the wl penalty adds its locality
-    pull (other penalties do not touch A). Columns whose norm collapses
-    are redrawn as fresh unit vectors from `rng`. Returns the updated
-    atoms together with the redrawn column indices.
+    The step is lr times the penalty's `atom_gradient` divided by the
+    batch size. Columns whose norm collapses are redrawn as fresh unit
+    vectors from `rng`. Returns the updated atoms together with the
+    redrawn column indices.
     """
     A = np.asarray(A, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -112,10 +102,7 @@ def dictionary_step(A, Y, X, penalty, lr, rng=None):
             or X.shape[0] != A.shape[1] or X.shape[1] != Y.shape[1]):
         raise ContractError(f"shape mismatch: A {A.shape}, Y {Y.shape}, X {X.shape}")
     b = Y.shape[1]
-    if penalty.kind == "wl":
-        grad = wl_atom_gradient(Y, A, X, penalty.lam)
-    else:
-        grad = (A @ X - Y) @ X.T
+    grad = penalty.atom_gradient(A, Y, X)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite dictionary gradient")
     out = A - (lr / b) * grad
@@ -152,10 +139,7 @@ def train(images, cfg):
                                      standardize=cfg.standardize)
         batch = sample_patches(images, sampler)
         Y = batch.patches
-        pen = cfg.penalty
-        if pen.kind == "lap":
-            graph = laplacian_from_adjacency(knn_adjacency(Y, cfg.knn_k))
-            pen = dataclasses.replace(pen, laplacian=graph.matrix)
+        pen = cfg.penalty.with_batch_graph(Y, cfg.knn_k)
         X, trace = encode(Y, atoms, dataclasses.replace(cfg.encoder, penalty=pen))
         losses[batch_idx] = trace.objective_per_step[-1] / cfg.batch_size
         atoms, redrawn = dictionary_step(atoms, Y, X, pen,

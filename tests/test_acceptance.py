@@ -18,8 +18,7 @@ from locosparse.encoder import EncoderConfig, encode, momentum_schedule
 from locosparse.gabor import GaborParams, fold_phase, gabor_fit, render_gabor
 from locosparse.graphs import (bipartite_laplacian, knn_adjacency,
                                laplacian_from_adjacency)
-from locosparse.penalties import (PenaltyConfig, lap_code_gradient,
-                                  wl_atom_gradient, wl_code_gradient)
+from locosparse.penalties import PenaltyConfig
 from locosparse.rfeval import ReceptiveField, sta_receptive_fields
 from locosparse.simplex import project_simplex
 from locosparse.spectral import spectral_cluster
@@ -97,12 +96,13 @@ def test_criterion_02_analytic_gradients_match_finite_differences(capsys):
                 R = Y - A @ Xv
                 return 0.5 * float((R * R).sum()) + lam * float(np.trace(Xv @ G @ Xv.T))
 
-            worst["code"] = max(worst["code"], rel(
-                wl_code_gradient(y, A, x, lam), fd_gradient(f_code, x)))
+            wl = PenaltyConfig("wl", lam)
+            code = wl.bind(A, y[:, None]).code_gradient(x[:, None])[:, 0]
+            graph = PenaltyConfig("lap", lam, G).bind(A, Y).code_gradient(X)
+            worst["code"] = max(worst["code"], rel(code, fd_gradient(f_code, x)))
             worst["atom"] = max(worst["atom"], rel(
-                wl_atom_gradient(Y, A, X, lam), fd_gradient(f_atom, A)))
-            worst["graph"] = max(worst["graph"], rel(
-                lap_code_gradient(A, Y, X, G, lam), fd_gradient(f_graph, X)))
+                wl.atom_gradient(A, Y, X), fd_gradient(f_atom, A)))
+            worst["graph"] = max(worst["graph"], rel(graph, fd_gradient(f_graph, X)))
         elapsed = time.monotonic() - start
         assert max(worst.values()) < 1e-6
         assert elapsed < 10.0

@@ -12,7 +12,7 @@ from locosparse.errors import (ConfigError, ContractError,
 from locosparse.penalties import PenaltyConfig
 from locosparse.simplex import project_columns
 
-from oracles import jacobi_eigenvalues_classical
+from oracles import jacobi_eigenvalues_classical, pairwise_sq_distances_loops
 
 
 def test_aswritten_schedule_closed_forms():
@@ -120,17 +120,29 @@ def test_lap_descent_with_supplied_graph():
 
 
 def test_l1_path_matches_handrolled_ista():
+    # the same loop for every penalty: a gradient step on the smooth part,
+    # then soft thresholding (l1) or the simplex projection (wl, lap)
     A, Y = _random_instance(5, d=12, m=9, n=7)
     lam = 0.4
-    cfg = EncoderConfig(PenaltyConfig("l1", lam), steps=15, momentum_mode="none")
-    X, _ = encode(Y, A, cfg)
-
+    W = np.zeros((7, 7))
+    for i in range(6):
+        W[i, i + 1] = W[i + 1, i] = 1.0
+    G = np.diag(W.sum(axis=1)) - W
+    D = pairwise_sq_distances_loops(A, Y)
     alpha = spectral_norm_sq_inv(A)
-    Z = np.zeros((9, 7))
-    for _ in range(15):
-        step = Z - alpha * (A.T @ (A @ Z - Y))
-        Z = np.sign(step) * np.maximum(np.abs(step) - alpha * lam, 0.0)
-    assert np.allclose(X, Z, atol=1e-12)
+    for kind in ("l1", "wl", "lap"):
+        pen = PenaltyConfig(kind, lam, G if kind == "lap" else None)
+        X, _ = encode(Y, A, EncoderConfig(pen, steps=15, momentum_mode="none"))
+        Z = np.zeros((9, 7))
+        for _ in range(15):
+            grad = A.T @ (A @ Z - Y)
+            if kind == "l1":
+                step = Z - alpha * grad
+                Z = np.sign(step) * np.maximum(np.abs(step) - alpha * lam, 0.0)
+            else:
+                pull = lam * D if kind == "wl" else lam * (Z @ (G + G.T))
+                Z = project_columns(Z - alpha * (grad + pull))
+        assert np.allclose(X, Z, atol=1e-12), kind
 
 
 def test_l1_codes_can_go_negative():

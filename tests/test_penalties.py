@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from locosparse.errors import ConfigError, ContractError
-from locosparse.penalties import (PenaltyConfig, l1_penalty, lap_code_gradient,
-                                  lap_penalty, wl_atom_gradient,
-                                  wl_code_gradient, wl_penalty)
-from locosparse.simplex import atom_distances
+from locosparse.graphs import knn_adjacency, laplacian_from_adjacency
+from locosparse.penalties import PenaltyConfig
+from locosparse.trainer import dictionary_step
 
-from oracles import fd_gradient
+from oracles import fd_gradient, pairwise_sq_distances_loops
 
 
 def _rel_err(got, want):
     scale = max(np.linalg.norm(want), 1.0)
     return np.linalg.norm(got - want) / scale
+
+
+def _fit(Y, A, X):
+    r = Y - A @ X
+    return 0.5 * float((r * r).sum())
 
 
 def test_penalty_config_validation():
@@ -31,8 +35,9 @@ def test_penalty_config_validation():
 
 def test_l1_penalty_value():
     X = np.array([[1.0, -2.0], [0.0, 3.0]])
-    assert l1_penalty(X, 0.5) == pytest.approx(3.0)
-    assert l1_penalty(X, 0.0) == 0.0
+    A = np.eye(2)
+    assert PenaltyConfig("l1", 0.5).bind(A, X).objective(X) == pytest.approx(3.0)
+    assert PenaltyConfig("l1", 0.0).bind(A, X).objective(X) == 0.0
 
 
 def test_wl_penalty_matches_explicit_sum():
@@ -41,11 +46,9 @@ def test_wl_penalty_matches_explicit_sum():
     A = rng.normal(size=(6, 3))
     X = np.abs(rng.normal(size=(3, 4)))
     lam = 0.7
-    total = 0.0
-    for i in range(4):
-        d = atom_distances(Y[:, i], A)
-        total += float((X[:, i] * d).sum())
-    assert wl_penalty(Y, A, X, lam) == pytest.approx(lam * total / 4)
+    total = float((X * pairwise_sq_distances_loops(A, Y)).sum())
+    got = PenaltyConfig("wl", lam).bind(A, Y).objective(X)
+    assert got == pytest.approx(_fit(Y, A, X) + lam * total)
 
 
 def test_wl_code_gradient_matches_finite_differences():
@@ -55,14 +58,15 @@ def test_wl_code_gradient_matches_finite_differences():
         d = int(rng.integers(4, 10))
         m = int(rng.integers(2, 8))
         A = rng.normal(size=(d, m))
-        y = rng.normal(size=d)
+        y = rng.normal(size=(d, 1))
         x = rng.normal(size=m)
+        dists = pairwise_sq_distances_loops(A, y)[:, 0]
 
         def objective(z):
-            r = y - A @ z
-            return 0.5 * float(r @ r) + lam * float(atom_distances(y, A) @ z)
+            r = y[:, 0] - A @ z
+            return 0.5 * float(r @ r) + lam * float(dists @ z)
 
-        got = wl_code_gradient(y, A, x, lam)
+        got = PenaltyConfig("wl", lam).bind(A, y).code_gradient(x[:, None])[:, 0]
         want = fd_gradient(objective, x)
         assert _rel_err(got, want) < 1e-6
 
@@ -72,17 +76,19 @@ def test_wl_code_gradient_batch_stacks_columns():
     A = rng.normal(size=(5, 4))
     Y = rng.normal(size=(5, 3))
     X = rng.normal(size=(4, 3))
-    batch = wl_code_gradient(Y, A, X, 0.3)
+    pen = PenaltyConfig("wl", 0.3)
+    batch = pen.bind(A, Y).code_gradient(X)
     for i in range(3):
-        single = wl_code_gradient(Y[:, i], A, X[:, i], 0.3)
-        assert np.allclose(batch[:, i], single, atol=1e-12)
+        single = pen.bind(A, Y[:, i:i + 1]).code_gradient(X[:, i:i + 1])
+        assert np.allclose(batch[:, i], single[:, 0], atol=1e-12)
 
 
 def test_wl_code_gradient_shape_errors():
-    with pytest.raises(ContractError):
-        wl_code_gradient(np.zeros(4), np.zeros((4, 2)), np.zeros(3), 0.5)
-    with pytest.raises(ContractError):
-        wl_code_gradient(np.zeros(4), np.zeros((4, 2)), np.zeros((2, 1)), 0.5)
+    for kind in ("l1", "wl"):
+        with pytest.raises(ContractError):
+            PenaltyConfig(kind, 0.5).bind(np.zeros((4, 2)), np.zeros((3, 1)))
+        with pytest.raises(ContractError):
+            PenaltyConfig(kind, 0.5).bind(np.zeros((4, 2)), np.zeros(4))
 
 
 def test_wl_atom_gradient_matches_finite_differences():
@@ -100,24 +106,22 @@ def test_wl_atom_gradient_matches_finite_differences():
 
         def objective(a_flat):
             A = a_flat.reshape(d, m)
-            r = Y - A @ X
-            fit = 0.5 * float((r * r).sum())
-            charge = 0.0
-            for i in range(n):
-                charge += float(X[:, i] @ atom_distances(Y[:, i], A))
-            return fit + lam * charge
+            charge = float((X * pairwise_sq_distances_loops(A, Y)).sum())
+            return _fit(Y, A, X) + lam * charge
 
-        got = wl_atom_gradient(Y, A0, X, lam).reshape(-1)
+        got = PenaltyConfig("wl", lam).atom_gradient(A0, Y, X).reshape(-1)
         want = fd_gradient(objective, A0.reshape(-1))
         assert _rel_err(got, want) < 1e-6
 
 
 def test_lap_penalty_value_is_trace_form():
     rng = np.random.default_rng(30)
+    A = rng.normal(size=(4, 3))
+    Y = rng.normal(size=(4, 5))
     X = rng.normal(size=(3, 5))
     G = rng.normal(size=(5, 5))
-    want = 0.9 * np.trace(X @ G @ X.T)
-    assert lap_penalty(X, G, 0.9) == pytest.approx(want)
+    want = _fit(Y, A, X) + 0.9 * np.trace(X @ G @ X.T)
+    assert PenaltyConfig("lap", 0.9, G).bind(A, Y).objective(X) == pytest.approx(want)
 
 
 def test_lap_code_gradient_matches_finite_differences():
@@ -135,22 +139,32 @@ def test_lap_code_gradient_matches_finite_differences():
 
         def objective(x_flat):
             X = x_flat.reshape(m, n)
-            r = Y - A @ X
-            return 0.5 * float((r * r).sum()) + lam * float(((X @ G) * X).sum())
+            return _fit(Y, A, X) + lam * float(((X @ G) * X).sum())
 
-        got = lap_code_gradient(A, Y, X0, G, lam).reshape(-1)
+        got = PenaltyConfig("lap", lam, G).bind(A, Y).code_gradient(X0).reshape(-1)
         want = fd_gradient(objective, X0.reshape(-1))
         assert _rel_err(got, want) < 1e-6
 
 
 def test_lap_gradient_shape_errors():
     with pytest.raises(ContractError):
-        lap_code_gradient(np.zeros((3, 2)), np.zeros((3, 4)),
-                          np.zeros((2, 4)), np.zeros((3, 3)), 0.5)
-    with pytest.raises(ContractError):
-        lap_penalty(np.zeros((2, 3)), np.zeros((4, 4)), 0.5)
+        PenaltyConfig("lap", 0.5, np.zeros((3, 3))).bind(np.zeros((3, 2)), np.zeros((3, 4)))
+    with pytest.raises(ConfigError):
+        PenaltyConfig("lap", 0.5).bind(np.zeros((3, 2)), np.zeros((3, 4)))
 
 
 def test_wl_atom_gradient_shape_errors():
     with pytest.raises(ContractError):
-        wl_atom_gradient(np.zeros((4, 3)), np.zeros((4, 2)), np.zeros((3, 3)), 0.5)
+        dictionary_step(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((3, 3)),
+                        PenaltyConfig("wl", 0.5), 1.0)
+
+
+def test_batch_graph_only_for_lap():
+    Y = np.random.default_rng(40).normal(size=(5, 9))
+    for kind in ("l1", "wl"):
+        pen = PenaltyConfig(kind, 0.5)
+        assert pen.with_batch_graph(Y, 3) is pen
+    lap = PenaltyConfig("lap", 0.5).with_batch_graph(Y, 3)
+    want = laplacian_from_adjacency(knn_adjacency(Y, 3)).matrix
+    assert np.array_equal(lap.laplacian, want)
+    assert lap.kind == "lap" and lap.lam == 0.5

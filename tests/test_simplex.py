@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from locosparse.errors import ContractError
-from locosparse.simplex import (atom_distances, pairwise_sq_distances,
-                                project_columns, project_simplex,
-                                quadratic_neuron)
+from locosparse.simplex import (pairwise_sq_distances, project_columns,
+                                project_simplex)
 
 from oracles import pairwise_sq_distances_loops, simplex_projection_bruteforce
 
@@ -86,15 +85,6 @@ def test_column_projection_rejects_bad_input():
         project_columns(np.array([[np.nan, 1.0]]))
 
 
-def test_atom_distances_matches_loop_oracle():
-    rng = np.random.default_rng(23)
-    A = rng.normal(size=(9, 5))
-    y = rng.normal(size=9)
-    got = atom_distances(y, A)
-    want = pairwise_sq_distances_loops(A, y[:, None])[:, 0]
-    assert np.allclose(got, want, atol=1e-12)
-
-
 def test_pairwise_distances_match_loop_oracle():
     rng = np.random.default_rng(29)
     A = rng.normal(size=(7, 4))
@@ -116,12 +106,4 @@ def test_pairwise_distances_exact_zero_for_identical_columns():
 def test_pairwise_distances_shape_errors():
     with pytest.raises(ContractError):
         pairwise_sq_distances(np.zeros((3, 2)), np.zeros((4, 2)))
-    with pytest.raises(ContractError):
-        atom_distances(np.zeros(3), np.zeros((4, 2)))
 
-
-def test_quadratic_neuron_is_total_distance():
-    rng = np.random.default_rng(37)
-    A = rng.normal(size=(5, 3))
-    y = rng.normal(size=5)
-    assert quadratic_neuron(y, A) == pytest.approx(atom_distances(y, A).sum())

@@ -7,9 +7,8 @@ from locosparse.encoder import EncoderConfig
 from locosparse.errors import ConfigError, ContractError, FormatError, StorageError
 from locosparse.penalties import PenaltyConfig
 from locosparse.rng import CounterRng, derive_seed
-from locosparse.trainer import (Dictionary, TrainConfig, decode,
-                                dictionary_step, init_dictionary, load_model,
-                                save_model, train)
+from locosparse.trainer import (Dictionary, TrainConfig, dictionary_step,
+                                init_dictionary, load_model, save_model, train)
 
 from synthdata import dead_leaves_image
 
@@ -35,17 +34,6 @@ def test_init_dictionary_unit_columns_and_determinism():
     assert np.allclose(np.linalg.norm(A, axis=0), 1.0, atol=1e-12)
     C = init_dictionary(16, 8, seed=124)
     assert not np.array_equal(A, C)
-
-
-def test_decode_is_plain_matrix_product():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(9, 4))
-    X = rng.normal(size=(4, 7))
-    assert np.allclose(decode(A, X), A @ X)
-    D = Dictionary(A / np.linalg.norm(A, axis=0), 3)
-    assert np.allclose(decode(D, X), D.atoms @ X)
-    with pytest.raises(ContractError):
-        decode(A, np.zeros((5, 2)))
 
 
 def test_dictionary_step_keeps_unit_norms():
