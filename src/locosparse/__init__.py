@@ -1,7 +1,7 @@
 """Locality-regularized sparse coding with an unrolled simplex encoder."""
 
-from .encoder import (EncodeTrace, EncoderConfig, MomentumSchedule, encode,
-                      momentum_schedule, spectral_norm_sq_inv)
+from .encoder import (EncoderConfig, MomentumSchedule, encode, momentum_schedule,
+                      spectral_norm_sq_inv)
 from .errors import (ConfigError, ContractError, DegenerateInputError,
                      DivergenceError, EmptyHistogramError, FormatError,
                      LocosparseError, NumericalError, StorageError,

@@ -190,7 +190,7 @@ def _cmd_eval(args, command):
 
         fields = sta_receptive_fields(respond, side, args.samples, args.seed)
 
-    params = [unfit_params(side) if rf.total_response == 0.0 or not rf.image.any()
+    params = [unfit_params(side) if rf.dead or not rf.image.any()
               else gabor_fit(rf) for rf in fields]
     # both histograms raise when no fit converged, so build them before
     # opening any output: a failing eval writes nothing

@@ -5,8 +5,7 @@ batch objective that `penalties` defines: a gradient step on its smooth
 part, then its proximal step, the simplex projection (wl and lap
 penalties) or soft thresholding (the l1 baseline, where a simplex
 constraint would pin the l1 norm to one and neuter the penalty). The
-step size is the inverse squared spectral norm of the dictionary unless
-overridden.
+step size is the inverse squared spectral norm of the dictionary.
 """
 
 from dataclasses import dataclass
@@ -16,7 +15,6 @@ import numpy as np
 from .errors import (ConfigError, ContractError, DegenerateInputError,
                      DivergenceError)
 from .penalties import PenaltyConfig
-from .rng import CounterRng, derive_seed
 
 MOMENTUM_MODES = ("aswritten", "fista", "none")
 
@@ -26,7 +24,6 @@ class EncoderConfig:
     penalty: PenaltyConfig | None = None
     steps: int = 15
     momentum_mode: str = "aswritten"
-    step_size_override: float | None = None
 
     def __post_init__(self):
         if self.steps < 1:
@@ -35,19 +32,12 @@ class EncoderConfig:
             raise ConfigError(
                 f"unknown momentum mode {self.momentum_mode!r}; "
                 f"expected one of {MOMENTUM_MODES}")
-        if self.step_size_override is not None and self.step_size_override <= 0:
-            raise ConfigError("step_size_override must be positive")
 
 
 @dataclass(frozen=True)
 class MomentumSchedule:
     etas: np.ndarray    # eta(0) .. eta(T)
     gammas: np.ndarray  # gamma(0) .. gamma(T-1)
-
-
-@dataclass(frozen=True)
-class EncodeTrace:
-    objective_per_step: np.ndarray  # objective at init and after each step
 
 
 def momentum_schedule(steps, mode):
@@ -77,39 +67,16 @@ def momentum_schedule(steps, mode):
     return MomentumSchedule(etas, gammas)
 
 
-_POWER_SEED = derive_seed(0, "power-iteration")
-
-
-def spectral_norm_sq_inv(A, tol=1e-10, max_iters=10000):
-    """1 / sigma_max(A)^2 by power iteration on A^T A.
-
-    Iterates until successive Rayleigh quotients agree to `tol` (or the
-    cap is reached, in which case the last estimate is returned). The
-    start vector comes from a fixed internal stream so the result is
-    reproducible.
-    """
+def spectral_norm_sq_inv(A):
+    """1 / sigma_max(A)^2, the 1/L step size of proximal gradient descent."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ContractError("dictionary must be a matrix")
+    if not np.all(np.isfinite(A)):
+        raise ContractError("dictionary contains non-finite entries")
     if not A.any():
         raise DegenerateInputError("zero dictionary has no spectral norm")
-    rng = CounterRng(_POWER_SEED)
-    v = rng.normals(A.shape[1])
-    v /= np.linalg.norm(v)
-    rayleigh = np.inf
-    for _ in range(max_iters):
-        w = A.T @ (A @ v)
-        prev, rayleigh = rayleigh, float(v @ w)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            v = rng.normals(A.shape[1])  # fell into the null space; restart
-            v /= np.linalg.norm(v)
-            rayleigh = np.inf
-            continue
-        v = w / norm
-        if abs(rayleigh - prev) < tol:
-            break
-    return 1.0 / rayleigh
+    return 1.0 / np.linalg.norm(A, 2) ** 2
 
 
 def encode(Y, A, cfg):
@@ -121,8 +88,8 @@ def encode(Y, A, cfg):
         cfg: EncoderConfig with a concrete penalty.
 
     Returns:
-        (codes, trace): codes is m x n; the trace records the composite
-        batch objective at initialization and after every step. For wl
+        (codes, objective): codes is m x n and objective is the
+        composite batch objective of the final codes, a float. For wl
         and lap the codes land on the probability simplex column-wise;
         the l1 path returns soft-thresholded codes instead.
     """
@@ -134,19 +101,15 @@ def encode(Y, A, cfg):
         raise ConfigError("encoder config carries no penalty")
     pen = cfg.penalty.bind(A, Y)
 
-    alpha = (cfg.step_size_override if cfg.step_size_override is not None
-             else spectral_norm_sq_inv(A))
+    alpha = spectral_norm_sq_inv(A)
     sched = momentum_schedule(cfg.steps, cfg.momentum_mode)
 
     X = np.zeros((A.shape[1], Y.shape[1]))
     lookahead = X
-    objs = np.empty(cfg.steps + 1)
-    objs[0] = pen.objective(X)
     for t in range(cfg.steps):
         Xn = pen.prox(lookahead - alpha * pen.code_gradient(lookahead), alpha)
         if not np.all(np.isfinite(Xn)):
             raise DivergenceError(f"encoder produced non-finite values at step {t}")
         lookahead = Xn + sched.gammas[t] * (Xn - X)
         X = Xn
-        objs[t + 1] = pen.objective(X)
-    return X, EncodeTrace(objs)
+    return X, pen.objective(X)

@@ -87,7 +87,7 @@ def init_dictionary(d, m, seed):
     return atoms / norms
 
 
-def dictionary_step(A, Y, X, penalty, lr, rng=None):
+def dictionary_step(A, Y, X, penalty, lr, rng):
     """One gradient step on the atoms, renormalized column-wise.
 
     The step is lr times the penalty's `atom_gradient` divided by the
@@ -110,12 +110,9 @@ def dictionary_step(A, Y, X, penalty, lr, rng=None):
     dead = np.flatnonzero(norms < _DEAD_NORM)
     alive = norms >= _DEAD_NORM
     out[:, alive] /= norms[alive]
-    if dead.size:
-        if rng is None:
-            rng = CounterRng(derive_seed(0, "dict-reinit"))
-        for j in dead:
-            col = rng.normals(out.shape[0])
-            out[:, j] = col / np.linalg.norm(col)
+    for j in dead:
+        col = rng.normals(out.shape[0])
+        out[:, j] = col / np.linalg.norm(col)
     return out, [int(j) for j in dead]
 
 
@@ -140,8 +137,8 @@ def train(images, cfg):
         batch = sample_patches(images, sampler)
         Y = batch.patches
         pen = cfg.penalty.with_batch_graph(Y, cfg.knn_k)
-        X, trace = encode(Y, atoms, dataclasses.replace(cfg.encoder, penalty=pen))
-        losses[batch_idx] = trace.objective_per_step[-1] / cfg.batch_size
+        X, objective = encode(Y, atoms, dataclasses.replace(cfg.encoder, penalty=pen))
+        losses[batch_idx] = objective / cfg.batch_size
         atoms, redrawn = dictionary_step(atoms, Y, X, pen,
                                          cfg.dict_learning_rate, reinit_rng)
         inactive = [int(j) for j in np.flatnonzero(np.abs(X).sum(axis=1) == 0.0)

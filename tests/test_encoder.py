@@ -1,10 +1,12 @@
 """Unrolled encoder: schedule exactness, step size, descent, and paths."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from locosparse import encoder
 from locosparse.encoder import (EncoderConfig, encode, momentum_schedule,
                                 spectral_norm_sq_inv)
 from locosparse.errors import (ConfigError, ContractError,
@@ -49,6 +51,14 @@ def test_none_schedule_is_all_zero():
     assert np.all(sched.gammas == 0.0)
 
 
+def test_schedule_prefixes_are_shorter_schedules():
+    # a t-step encode runs exactly the first t steps of a longer one
+    for mode in ("aswritten", "fista", "none"):
+        full = momentum_schedule(15, mode).gammas
+        for t in range(1, 16):
+            assert np.array_equal(momentum_schedule(t, mode).gammas, full[:t]), (mode, t)
+
+
 def test_schedule_rejects_bad_arguments():
     with pytest.raises(ConfigError):
         momentum_schedule(0, "fista")
@@ -61,8 +71,6 @@ def test_encoder_config_validation():
         EncoderConfig(steps=0)
     with pytest.raises(ConfigError):
         EncoderConfig(momentum_mode="turbo")
-    with pytest.raises(ConfigError):
-        EncoderConfig(step_size_override=0.0)
 
 
 def test_step_size_against_jacobi_oracle():
@@ -81,8 +89,10 @@ def test_step_size_orthonormal_columns_is_one():
 
 
 def test_step_size_zero_matrix_raises():
-    with pytest.raises(DegenerateInputError):
-        spectral_norm_sq_inv(np.zeros((4, 4)))
+    nan = np.full((4, 4), np.nan)
+    for A, error in ((np.zeros((4, 4)), DegenerateInputError), (nan, ContractError)):
+        with pytest.raises(error):
+            spectral_norm_sq_inv(A)
 
 
 def _random_instance(seed, d=16, m=16, n=32):
@@ -93,14 +103,21 @@ def _random_instance(seed, d=16, m=16, n=32):
     return A, Y
 
 
+def _objective_per_step(Y, A, cfg):
+    """The objective after each of cfg.steps steps; a t-step encode is
+    exactly the first t steps of a longer one."""
+    return np.array([encode(Y, A, dataclasses.replace(cfg, steps=t))[1]
+                     for t in range(1, cfg.steps + 1)])
+
+
 def test_wl_descent_and_simplex_feasibility():
-    # the trace starts at the infeasible all-zero code, so the descent
+    # the codes start at the infeasible all-zero code, so the descent
     # guarantee covers the values produced by the 15 steps themselves
     for seed in range(10):
         A, Y = _random_instance(seed)
         cfg = EncoderConfig(PenaltyConfig("wl", 0.5), steps=15, momentum_mode="none")
-        X, trace = encode(Y, A, cfg)
-        diffs = np.diff(trace.objective_per_step[1:])
+        X, _ = encode(Y, A, cfg)
+        diffs = np.diff(_objective_per_step(Y, A, cfg))
         assert diffs.max() <= 1e-10
         assert X.min() >= -1e-12
         assert np.abs(X.sum(axis=0) - 1.0).max() <= 1e-12
@@ -114,8 +131,8 @@ def test_lap_descent_with_supplied_graph():
     G = np.diag(W.sum(axis=1)) - W
     cfg = EncoderConfig(PenaltyConfig("lap", 0.3, laplacian=G),
                         steps=15, momentum_mode="none")
-    X, trace = encode(Y, A, cfg)
-    assert np.diff(trace.objective_per_step[1:]).max() <= 1e-10
+    X, _ = encode(Y, A, cfg)
+    assert np.diff(_objective_per_step(Y, A, cfg)).max() <= 1e-10
     assert np.abs(X.sum(axis=0) - 1.0).max() <= 1e-12
 
 
@@ -132,9 +149,8 @@ def test_l1_path_matches_handrolled_ista():
     alpha = spectral_norm_sq_inv(A)
     for kind in ("l1", "wl", "lap"):
         pen = PenaltyConfig(kind, lam, G if kind == "lap" else None)
-        X, _ = encode(Y, A, EncoderConfig(pen, steps=15, momentum_mode="none"))
         Z = np.zeros((9, 7))
-        for _ in range(15):
+        for t in range(1, 16):
             grad = A.T @ (A @ Z - Y)
             if kind == "l1":
                 step = Z - alpha * grad
@@ -142,7 +158,8 @@ def test_l1_path_matches_handrolled_ista():
             else:
                 pull = lam * D if kind == "wl" else lam * (Z @ (G + G.T))
                 Z = project_columns(Z - alpha * (grad + pull))
-        assert np.allclose(X, Z, atol=1e-12), kind
+            X, _ = encode(Y, A, EncoderConfig(pen, steps=t, momentum_mode="none"))
+            assert np.allclose(X, Z, atol=1e-12), (kind, t)
 
 
 def test_l1_codes_can_go_negative():
@@ -172,11 +189,12 @@ def test_single_column_promotion():
     assert np.array_equal(X1, X2)
 
 
-def test_trace_objective_at_init_is_data_energy():
+def test_returned_objective_is_bound_objective_of_codes():
     A, Y = _random_instance(30, n=4)
-    _, trace = encode(Y, A, EncoderConfig(PenaltyConfig("wl", 0.5)))
-    assert trace.objective_per_step[0] == pytest.approx(0.5 * (Y * Y).sum())
-    assert trace.objective_per_step.size == 16
+    pen = PenaltyConfig("wl", 0.5)
+    X, objective = encode(Y, A, EncoderConfig(pen))
+    assert isinstance(objective, float)
+    assert objective == pen.bind(A, Y).objective(X)
 
 
 def test_encode_requires_penalty():
@@ -200,25 +218,14 @@ def test_shape_mismatch_raises():
                EncoderConfig(PenaltyConfig("l1", 0.1)))
 
 
-def test_absurd_step_size_raises_divergence():
-    # the iterates blow through the float range; the objective overflow
-    # on the way up is expected, the error must still surface
+def test_absurd_step_size_raises_divergence(monkeypatch):
+    # the iterates blow through the float range; the overflow on the way
+    # up is expected, the error must still surface
+    monkeypatch.setattr(encoder, "spectral_norm_sq_inv", lambda A: 1e200)
     A, Y = _random_instance(8)
-    cfg = EncoderConfig(PenaltyConfig("l1", 0.5), steps=15,
-                        momentum_mode="none", step_size_override=1e200)
+    cfg = EncoderConfig(PenaltyConfig("l1", 0.5), steps=15, momentum_mode="none")
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         encode(Y, A, cfg)
-
-
-def test_override_step_size_is_used():
-    # a vanishing step size caps every code at roughly alpha * |A^T Y|,
-    # orders of magnitude below what the default step size produces
-    A, Y = _random_instance(14)
-    cfg = EncoderConfig(PenaltyConfig("l1", 0.5), step_size_override=1e-12)
-    X, _ = encode(Y, A, cfg)
-    assert 0.0 < np.abs(X).max() < 1e-9
-    default, _ = encode(Y, A, EncoderConfig(PenaltyConfig("l1", 0.5)))
-    assert np.abs(default).max() > 1e-3
 
 
 def test_projection_helper_feasible_on_random_batches():

@@ -6,6 +6,7 @@ import pytest
 from locosparse.errors import ConfigError, ContractError
 from locosparse.graphs import knn_adjacency, laplacian_from_adjacency
 from locosparse.penalties import PenaltyConfig
+from locosparse.rng import CounterRng
 from locosparse.trainer import dictionary_step
 
 from oracles import fd_gradient, pairwise_sq_distances_loops
@@ -156,7 +157,7 @@ def test_lap_gradient_shape_errors():
 def test_wl_atom_gradient_shape_errors():
     with pytest.raises(ContractError):
         dictionary_step(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((3, 3)),
-                        PenaltyConfig("wl", 0.5), 1.0)
+                        PenaltyConfig("wl", 0.5), 1.0, CounterRng(0))
 
 
 def test_batch_graph_only_for_lap():

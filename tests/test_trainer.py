@@ -41,7 +41,8 @@ def test_dictionary_step_keeps_unit_norms():
     A = init_dictionary(16, 5, seed=1)
     Y = rng.normal(size=(16, 10))
     X = np.abs(rng.normal(size=(5, 10)))
-    out, redrawn = dictionary_step(A, Y, X, PenaltyConfig("wl", 0.2), 0.5)
+    out, redrawn = dictionary_step(A, Y, X, PenaltyConfig("wl", 0.2), 0.5,
+                                   CounterRng(0))
     assert redrawn == []
     assert np.allclose(np.linalg.norm(out, axis=0), 1.0, atol=1e-12)
 
@@ -50,7 +51,8 @@ def test_dictionary_step_zero_codes_leave_atoms_unchanged():
     A = init_dictionary(9, 4, seed=7)
     Y = np.random.default_rng(1).normal(size=(9, 6))
     X = np.zeros((4, 6))
-    out, redrawn = dictionary_step(A, Y, X, PenaltyConfig("l1", 0.5), 1.0)
+    out, redrawn = dictionary_step(A, Y, X, PenaltyConfig("l1", 0.5), 1.0,
+                                   CounterRng(0))
     assert np.allclose(out, A, atol=1e-15)
     assert redrawn == []
 
