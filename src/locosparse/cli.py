@@ -15,6 +15,7 @@ from .errors import LocosparseError
 from .gabor import fold_phase, gabor_fit, shape_metrics, unfit_params
 from .graphs import bipartite_laplacian, knn_adjacency, laplacian_from_adjacency
 from .manifest import write_manifest
+from .patches import MIN_PATCH_SIDE
 from .penalties import KINDS, PenaltyConfig
 from .render import render_grid_svg
 from .rfeval import ReceptiveField, phase_histogram, sta_receptive_fields, symmetry_score
@@ -27,6 +28,14 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _patch_side(text):
+    value = int(text)
+    if value < MIN_PATCH_SIDE:
+        raise argparse.ArgumentTypeError(
+            f"expected a patch side of at least {MIN_PATCH_SIDE}, got {text}")
     return value
 
 
@@ -68,7 +77,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="SCT or PGM image file")
     p.add_argument("--penalty", required=True, choices=KINDS)
     p.add_argument("--lambda", dest="lam", type=_non_negative_float, default=0.5)
-    p.add_argument("--patch-size", type=_positive_int, default=8)
+    p.add_argument("--patch-size", type=_patch_side, default=8)
     p.add_argument("--num-atoms", type=_positive_int, default=64)
     p.add_argument("--steps", type=_positive_int, default=15)
     p.add_argument("--momentum", choices=MOMENTUM_MODES, default="aswritten")
@@ -139,12 +148,12 @@ def _cmd_train(args, command):
     cfg = TrainConfig(
         num_atoms=args.num_atoms,
         patch_side=args.patch_size,
-        penalty=PenaltyConfig(args.penalty, args.lam),
-        encoder=EncoderConfig(None, args.steps, args.momentum),
+        penalty=PenaltyConfig(args.penalty, args.lam, args.knn_k),
+        steps=args.steps,
+        momentum_mode=args.momentum,
         epochs=args.epochs,
         batch_size=args.batch_size,
         dict_learning_rate=args.lr,
-        knn_k=args.knn_k,
         seed=args.seed,
         standardize=args.standardize,
     )
@@ -181,11 +190,10 @@ def _cmd_eval(args, command):
         fields = [ReceptiveField(atoms[:, j].reshape(side, side), j, 1.0)
                   for j in range(atoms.shape[1])]
     else:
-        penalty = PenaltyConfig(meta["penalty"], meta["lambda"])
+        penalty = PenaltyConfig(meta["penalty"], meta["lambda"], meta["knn_k"])
+        cfg = EncoderConfig(penalty, meta["steps"], meta["momentum_mode"])
 
         def respond(Y):
-            cfg = EncoderConfig(penalty.with_batch_graph(Y, meta["knn_k"]),
-                                meta["steps"], meta["momentum_mode"])
             return encode(Y, atoms, cfg)[0]
 
         fields = sta_receptive_fields(respond, side, args.samples, args.seed)

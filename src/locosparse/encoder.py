@@ -6,6 +6,7 @@ part, then its proximal step, the simplex projection (wl and lap
 penalties) or soft thresholding (the l1 baseline, where a simplex
 constraint would pin the l1 norm to one and neuter the penalty). The
 step size is the inverse squared spectral norm of the dictionary.
+Whatever a penalty needs from the batch, `PenaltyConfig.bind` builds.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ MOMENTUM_MODES = ("aswritten", "fista", "none")
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    penalty: PenaltyConfig | None = None
+    penalty: PenaltyConfig
     steps: int = 15
     momentum_mode: str = "aswritten"
 
@@ -85,7 +86,7 @@ def encode(Y, A, cfg):
     Args:
         Y: d x n stimulus matrix (a single column may be passed 1-D).
         A: d x m dictionary.
-        cfg: EncoderConfig with a concrete penalty.
+        cfg: EncoderConfig.
 
     Returns:
         (codes, objective): codes is m x n and objective is the
@@ -97,8 +98,6 @@ def encode(Y, A, cfg):
     if Y.ndim == 1:
         Y = Y[:, None]
     A = np.asarray(A, dtype=np.float64)
-    if cfg.penalty is None:
-        raise ConfigError("encoder config carries no penalty")
     pen = cfg.penalty.bind(A, Y)
 
     alpha = spectral_norm_sq_inv(A)

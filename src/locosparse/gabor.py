@@ -30,6 +30,9 @@ _SIGMA_FLOOR = 0.25
 _FREQ_FLOOR = 1e-3
 _FREQ_CEIL = 0.75
 _CONVERGED_RESIDUAL = 0.5
+_NUM_STARTS = 3       # best grid candidates refined
+_MAX_ITERS = 200      # Gauss-Newton iterations per start
+_STEP_TOL = 1e-8      # relative step length that counts as converged
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,8 @@ def _plausible(q):
             and _FREQ_FLOOR < f < _FREQ_CEIL)
 
 
-def _coarse_grid(flat, u, v, u0, v0, sigma0, num_starts):
-    """(sse, amp) of every grid candidate, and the num_starts best start vectors.
+def _coarse_grid(flat, u, v, u0, v0, sigma0):
+    """(sse, amp) of every grid candidate, and the _NUM_STARTS best start vectors.
 
     Rows follow _evaluate's elementwise steps, and a stacked 1 x n @ n x 1
     matmul sums in the same order as a 1-D @, so each score is bit-identical
@@ -123,13 +126,13 @@ def _coarse_grid(flat, u, v, u0, v0, sigma0, num_starts):
     amp = np.zeros_like(denom)
     np.divide((rows @ flat[:, None]).ravel(), denom, out=amp, where=denom > 0.0)
     sse = ((amp[:, None] * shapes - flat) ** 2).sum(axis=1)
-    best = np.argsort(sse, kind="stable")[:num_starts]
+    best = np.argsort(sse, kind="stable")[:_NUM_STARTS]
     starts = [np.array([amp[i], u0, v0, theta, sigma0, sigma0, f, phi])
               for i, (theta, f, phi) in zip(best, _GRID[best])]
     return sse, amp, starts
 
 
-def _refine(q, flat, u, v, max_iters, step_tol):
+def _refine(q, flat, u, v):
     """Damped Gauss-Newton; returns (params, sse, step_tol_met)."""
     n = flat.size
     image, jacobian = _evaluate(q.tolist(), u, v)
@@ -138,7 +141,7 @@ def _refine(q, flat, u, v, max_iters, step_tol):
     mu = 1e-3
     hit = False
     eye = np.eye(q.size)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         J = jacobian()
         J -= J.sum(axis=0) / n
         g = J.T @ resid
@@ -164,7 +167,7 @@ def _refine(q, flat, u, v, max_iters, step_tol):
             mu *= 10.0
         else:  # no acceptable step in 50 tries
             break
-        if math.sqrt(delta @ delta) <= step_tol * (1.0 + math.sqrt(q @ q)):
+        if math.sqrt(delta @ delta) <= _STEP_TOL * (1.0 + math.sqrt(q @ q)):
             hit = True
             break
     return q, sse, hit
@@ -199,7 +202,7 @@ def unfit_params(side):
                        float(_GRID_FREQS[0]), 0.0, residual=1.0, converged=False)
 
 
-def gabor_fit(rf, max_iters=200, step_tol=1e-8, num_starts=3):
+def gabor_fit(rf):
     """Least-squares Gabor fit to a square receptive-field image.
 
     The field is mean-subtracted first (the model carries no DC term).
@@ -225,11 +228,11 @@ def gabor_fit(rf, max_iters=200, step_tol=1e-8, num_starts=3):
     peak = np.unravel_index(int(np.argmax(np.abs(target))), target.shape)
     u0, v0 = float(peak[1]), float(peak[0])
     sigma0 = side / 4.0
-    _, _, starts = _coarse_grid(flat, u, v, u0, v0, sigma0, num_starts)
+    _, _, starts = _coarse_grid(flat, u, v, u0, v0, sigma0)
 
     best_q, best_sse, best_hit = None, np.inf, False
     for start in starts:
-        refined, sse, hit = _refine(start, flat, u, v, max_iters, step_tol)
+        refined, sse, hit = _refine(start, flat, u, v)
         if sse < best_sse:
             best_q, best_sse, best_hit = refined, sse, hit
     q = canonical_vector(best_q)

@@ -7,6 +7,9 @@ import numpy as np
 from .errors import ConfigError, ContractError, ValidationError
 from .rng import CounterRng, derive_seed
 
+# a 1-pixel patch has no spatial structure: nothing to code or fit a Gabor to
+MIN_PATCH_SIDE = 2
+
 
 @dataclass(frozen=True)
 class PatchSamplerConfig:
@@ -16,8 +19,9 @@ class PatchSamplerConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        if self.patch_side < 2:
-            raise ConfigError(f"patch_side must be at least 2, got {self.patch_side}")
+        if self.patch_side < MIN_PATCH_SIDE:
+            raise ConfigError(
+                f"patch_side must be at least {MIN_PATCH_SIDE}, got {self.patch_side}")
         if self.count < 1:
             raise ConfigError(f"count must be positive, got {self.count}")
 
@@ -28,7 +32,6 @@ class StimulusBatch:
 
     patches: np.ndarray
     patch_side: int
-    source_id: str = ""
 
     def __post_init__(self):
         if self.patches.ndim != 2 or self.patches.shape[0] != self.patch_side ** 2:
@@ -83,5 +86,4 @@ def sample_patches(images, cfg):
                 col -= col.mean()
                 col /= np.linalg.norm(col)
         out[:, s] = col
-    return StimulusBatch(out, side,
-                         source_id=f"sampled(seed={cfg.seed}, count={cfg.count})")
+    return StimulusBatch(out, side)

@@ -2,14 +2,14 @@
 
 Three penalties are supported: plain l1, a weighted-l1 locality charge
 that prices activation by the squared stimulus-to-atom distance, and a
-graph Laplacian smoothness term coupling the codes of a batch. This
-module is the one definition of each penalty's value, its gradient in
-the codes, the proximal step that follows a gradient step, and the
-gradient in the atoms; the encoder and the dictionary update both call
-it. Every value is a sum over the batch, not a mean.
+graph Laplacian smoothness term coupling the codes of a batch over the
+binary kNN graph of its stimuli. This module is the one definition of
+each penalty's value, its gradient in the codes, the proximal step that
+follows a gradient step, and the gradient in the atoms; the encoder and
+the dictionary update both call it. It is also the only module that
+builds the lap graph. Every value is a sum over the batch, not a mean.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,32 +25,21 @@ KINDS = ("l1", "wl", "lap")
 class PenaltyConfig:
     """Penalty selection: kind in {l1, wl, lap} with weight lam.
 
-    For the lap kind the graph belongs to a batch (`with_batch_graph`
-    builds it), so `laplacian` may stay None here; `bind` checks that it
-    is present and matches the batch.
+    knn_k is the neighbour count of the lap kind's batch graph; l1 and
+    wl ignore it.
     """
 
     kind: str
     lam: float
-    laplacian: np.ndarray | None = None
+    knn_k: int = 4
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
         if self.lam < 0:
             raise ConfigError(f"lambda must be non-negative, got {self.lam}")
-        if self.laplacian is not None:
-            G = np.asarray(self.laplacian)
-            if G.ndim != 2 or G.shape[0] != G.shape[1]:
-                raise ConfigError("laplacian must be a square matrix")
-
-    def with_batch_graph(self, Y, knn_k):
-        """This penalty for the batch Y: lap gets the Laplacian of the
-        binary kNN graph over Y's columns; l1 and wl return unchanged."""
-        if self.kind != "lap":
-            return self
-        graph = laplacian_from_adjacency(knn_adjacency(Y, knn_k))
-        return dataclasses.replace(self, laplacian=graph.matrix)
+        if self.knn_k < 1:
+            raise ConfigError(f"knn_k must be positive, got {self.knn_k}")
 
     def bind(self, A, Y):
         """The batch objective of codes X for dictionary A and stimuli Y."""
@@ -74,8 +63,9 @@ class BatchObjective:
     """1/2 ||Y - AX||_F^2 + penalty(X) for a fixed dictionary and batch.
 
     The penalty is lam * sum |x_ji| (l1), lam * sum_ji x_ji ||y_i - a_j||^2
-    (wl) or lam * tr(X G X^T) (lap). The wl distances and the lap
-    G + G^T are computed once here, not once per step.
+    (wl) or lam * tr(X G X^T) (lap), with G the Laplacian of the binary
+    kNN graph (k = knn_k) over the batch's columns. The wl distances and
+    the lap G + G^T are computed once here, not once per step.
     """
 
     def __init__(self, penalty, A, Y):
@@ -87,13 +77,7 @@ class BatchObjective:
         if self.kind == "wl":
             self.D = pairwise_sq_distances(A, Y)
         elif self.kind == "lap":
-            if penalty.laplacian is None:
-                raise ConfigError("lap penalty requires a graph Laplacian")
-            self.G = np.asarray(penalty.laplacian, dtype=np.float64)
-            n = Y.shape[1]
-            if self.G.shape != (n, n):
-                raise ContractError(
-                    f"laplacian is {self.G.shape} but the batch has {n} columns")
+            self.G = laplacian_from_adjacency(knn_adjacency(Y, penalty.knn_k)).matrix
             self.Gsym = self.G + self.G.T
 
     def objective(self, X):

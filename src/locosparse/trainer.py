@@ -6,7 +6,6 @@ by column renormalization. Atoms that lose their norm or receive no
 activation in a batch are redrawn from the seeded generator.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +13,7 @@ import numpy as np
 from .encoder import EncoderConfig, encode
 from .errors import (ConfigError, ContractError, DivergenceError, FormatError,
                      StorageError, ValidationError)
-from .patches import PatchSamplerConfig, sample_patches
+from .patches import MIN_PATCH_SIDE, PatchSamplerConfig, sample_patches
 from .penalties import PenaltyConfig
 from .rng import CounterRng, derive_seed
 from .tensor import load_tensor, save_tensor
@@ -47,22 +46,27 @@ class TrainConfig:
     num_atoms: int
     patch_side: int
     penalty: PenaltyConfig
-    encoder: EncoderConfig = EncoderConfig()
+    steps: int = 15
+    momentum_mode: str = "aswritten"
     epochs: int = 200
     batch_size: int = 100
     dict_learning_rate: float = 1.0
-    knn_k: int = 4
     seed: int = 0
     standardize: bool = False
 
     def __post_init__(self):
-        for name in ("num_atoms", "patch_side", "batch_size", "knn_k"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+        for name, least in (("num_atoms", 1), ("patch_side", MIN_PATCH_SIDE),
+                            ("batch_size", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}")
+        self.encoder_config()  # validates steps and momentum_mode
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         if self.dict_learning_rate <= 0:
             raise ConfigError("dict_learning_rate must be positive")
+
+    def encoder_config(self):
+        return EncoderConfig(self.penalty, self.steps, self.momentum_mode)
 
 
 @dataclass(frozen=True)
@@ -119,13 +123,12 @@ def dictionary_step(A, Y, X, penalty, lr, rng):
 def train(images, cfg):
     """Learn a dictionary from image patches.
 
-    Every epoch draws one batch. For the lap penalty the batch graph
-    (binary kNN with k = cfg.knn_k) is rebuilt from the raw batch each
-    time. The recorded loss is the composite batch objective at the
-    final codes divided by the batch size. Fully deterministic for a
-    given cfg.seed.
+    Every epoch draws one batch. The recorded loss is the composite
+    batch objective at the final codes divided by the batch size. Fully
+    deterministic for a given cfg.seed.
     """
     d = cfg.patch_side ** 2
+    encoder = cfg.encoder_config()
     atoms = init_dictionary(d, cfg.num_atoms, derive_seed(cfg.seed, "dict-init"))
     reinit_rng = CounterRng(derive_seed(cfg.seed, "dict-reinit"))
     losses = np.empty(cfg.epochs)
@@ -136,10 +139,9 @@ def train(images, cfg):
                                      standardize=cfg.standardize)
         batch = sample_patches(images, sampler)
         Y = batch.patches
-        pen = cfg.penalty.with_batch_graph(Y, cfg.knn_k)
-        X, objective = encode(Y, atoms, dataclasses.replace(cfg.encoder, penalty=pen))
+        X, objective = encode(Y, atoms, encoder)
         losses[batch_idx] = objective / cfg.batch_size
-        atoms, redrawn = dictionary_step(atoms, Y, X, pen,
+        atoms, redrawn = dictionary_step(atoms, Y, X, cfg.penalty,
                                          cfg.dict_learning_rate, reinit_rng)
         inactive = [int(j) for j in np.flatnonzero(np.abs(X).sum(axis=1) == 0.0)
                     if int(j) not in redrawn]
@@ -165,12 +167,12 @@ def save_model(model, prefix):
         "penalty": cfg.penalty.kind,
         "lambda": repr(float(cfg.penalty.lam)),
         "patch_side": str(cfg.patch_side),
-        "steps": str(cfg.encoder.steps),
-        "momentum_mode": cfg.encoder.momentum_mode,
+        "steps": str(cfg.steps),
+        "momentum_mode": cfg.momentum_mode,
         "seed": str(cfg.seed),
         "epochs": str(cfg.epochs),
         "batch_size": str(cfg.batch_size),
-        "knn_k": str(cfg.knn_k),
+        "knn_k": str(cfg.penalty.knn_k),
     }
     try:
         with open(f"{prefix}.meta", "w", encoding="utf-8") as fh:

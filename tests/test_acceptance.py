@@ -75,7 +75,8 @@ def test_criterion_02_analytic_gradients_match_finite_differences(capsys):
             A = rng.normal(size=(d, m))
             Y = rng.normal(size=(d, n))
             X = rng.normal(size=(m, n))
-            G = rng.normal(size=(n, n))
+            # the one graph bind builds: the k = 3 kNN Laplacian of the batch
+            G = laplacian_from_adjacency(knn_adjacency(Y, 3)).matrix
             lam = float(rng.uniform(0.1, 2.0))
             y, x = Y[:, 0].copy(), X[:, 0].copy()
 
@@ -99,7 +100,7 @@ def test_criterion_02_analytic_gradients_match_finite_differences(capsys):
 
             wl = PenaltyConfig("wl", lam)
             code = wl.bind(A, y[:, None]).code_gradient(x[:, None])[:, 0]
-            graph = PenaltyConfig("lap", lam, G).bind(A, Y).code_gradient(X)
+            graph = PenaltyConfig("lap", lam, knn_k=3).bind(A, Y).code_gradient(X)
             worst["code"] = max(worst["code"], rel(code, fd_gradient(f_code, x)))
             worst["atom"] = max(worst["atom"], rel(
                 wl.atom_gradient(A, Y, X), fd_gradient(f_atom, A)))

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from locosparse import penalties
 from locosparse.cli import entrypoint
 from locosparse.gabor import GaborParams, render_gabor
 from locosparse.manifest import digest_file
@@ -116,6 +117,33 @@ def test_eval_from_sta_responses(workspace):
     assert int(summary["converged"]) == 4
 
 
+def test_trained_knn_k_reaches_every_lap_graph(workspace, monkeypatch):
+    # k = 3 is not the default 4, so a graph built with a default shows
+    calls = []
+    real_knn = penalties.knn_adjacency
+
+    def recording_knn(Y, k):
+        calls.append((k, Y.shape[1]))
+        return real_knn(Y, k)
+
+    monkeypatch.setattr(penalties, "knn_adjacency", recording_knn)
+    prefix = workspace / "lap_k3"
+    args = ["--penalty", "lap", "--knn-k", "3", "--patch-size", "4",
+            "--num-atoms", "6", "--steps", "5", "--epochs", "4",
+            "--batch-size", "12", "--seed", "3"]
+    assert entrypoint(["train", "--data", str(workspace / "image.sct"),
+                       "--out", str(prefix)] + args) == 0
+    assert calls == [(3, 12)] * 4
+    assert "knn_k=3" in (workspace / "lap_k3.meta").read_text().splitlines()
+
+    # two STA chunks of 1024 and 476 columns; the graph calls come before
+    # any Gabor fit, so they hold whether or not a lap fit converges
+    calls.clear()
+    entrypoint(["eval", "--model", str(prefix), "--source", "sta",
+                "--samples", "1500", "--seed", "1", "--out", str(workspace / "lap_k3_sta")])
+    assert calls == [(3, 1024), (3, 476)]
+
+
 def test_eval_without_converged_fits_writes_nothing(workspace, capsys):
     # constant atoms carry no oscillation, so no fit converges and the
     # phase histogram has nothing to bin
@@ -192,10 +220,11 @@ def test_bad_choice_exits_2():
 
 
 def test_non_positive_numeric_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        entrypoint(["train", "--data", "x.sct", "--penalty", "l1",
-                    "--num-atoms", "0", "--out", "y"])
-    assert exc.value.code == 2
+    for flag in (["--num-atoms", "0"], ["--patch-size", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            entrypoint(["train", "--data", "x.sct", "--penalty", "l1",
+                        *flag, "--out", "y"])
+        assert exc.value.code == 2, flag
 
 
 def test_cluster_k_exceeding_vertices_returns_2(workspace, capsys):

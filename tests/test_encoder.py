@@ -11,6 +11,7 @@ from locosparse.encoder import (EncoderConfig, encode, momentum_schedule,
                                 spectral_norm_sq_inv)
 from locosparse.errors import (ConfigError, ContractError,
                                DegenerateInputError, DivergenceError)
+from locosparse.graphs import knn_adjacency, laplacian_from_adjacency
 from locosparse.penalties import PenaltyConfig
 from locosparse.simplex import project_columns
 
@@ -67,10 +68,11 @@ def test_schedule_rejects_bad_arguments():
 
 
 def test_encoder_config_validation():
+    pen = PenaltyConfig("wl", 0.5)
     with pytest.raises(ConfigError):
-        EncoderConfig(steps=0)
+        EncoderConfig(pen, steps=0)
     with pytest.raises(ConfigError):
-        EncoderConfig(momentum_mode="turbo")
+        EncoderConfig(pen, momentum_mode="turbo")
 
 
 def test_step_size_against_jacobi_oracle():
@@ -124,13 +126,13 @@ def test_wl_descent_and_simplex_feasibility():
 
 
 def test_lap_descent_with_supplied_graph():
+    # descent needs the step 1/sigma_max(A)^2 to cover the graph term's
+    # curvature 2 lam lambda_max(G) as well; the encoder does not check this
     A, Y = _random_instance(77, n=12)
-    W = np.zeros((12, 12))
-    for i in range(11):
-        W[i, i + 1] = W[i + 1, i] = 1.0
-    G = np.diag(W.sum(axis=1)) - W
-    cfg = EncoderConfig(PenaltyConfig("lap", 0.3, laplacian=G),
-                        steps=15, momentum_mode="none")
+    lam = 0.1
+    G = laplacian_from_adjacency(knn_adjacency(Y, 4)).matrix
+    assert 2 * lam * np.linalg.eigvalsh(G)[-1] <= np.linalg.norm(A, 2) ** 2
+    cfg = EncoderConfig(PenaltyConfig("lap", lam, knn_k=4), steps=15, momentum_mode="none")
     X, _ = encode(Y, A, cfg)
     assert np.diff(_objective_per_step(Y, A, cfg)).max() <= 1e-10
     assert np.abs(X.sum(axis=0) - 1.0).max() <= 1e-12
@@ -141,14 +143,11 @@ def test_l1_path_matches_handrolled_ista():
     # then soft thresholding (l1) or the simplex projection (wl, lap)
     A, Y = _random_instance(5, d=12, m=9, n=7)
     lam = 0.4
-    W = np.zeros((7, 7))
-    for i in range(6):
-        W[i, i + 1] = W[i + 1, i] = 1.0
-    G = np.diag(W.sum(axis=1)) - W
+    G = laplacian_from_adjacency(knn_adjacency(Y, 4)).matrix
     D = pairwise_sq_distances_loops(A, Y)
     alpha = spectral_norm_sq_inv(A)
     for kind in ("l1", "wl", "lap"):
-        pen = PenaltyConfig(kind, lam, G if kind == "lap" else None)
+        pen = PenaltyConfig(kind, lam, knn_k=4)
         Z = np.zeros((9, 7))
         for t in range(1, 16):
             grad = A.T @ (A @ Z - Y)
@@ -197,19 +196,12 @@ def test_returned_objective_is_bound_objective_of_codes():
     assert objective == pen.bind(A, Y).objective(X)
 
 
-def test_encode_requires_penalty():
-    A, Y = _random_instance(1)
-    with pytest.raises(ConfigError):
-        encode(Y, A, EncoderConfig())
-
-
 def test_lap_penalty_needs_matching_graph():
-    A, Y = _random_instance(2, n=6)
-    with pytest.raises(ConfigError):
-        encode(Y, A, EncoderConfig(PenaltyConfig("lap", 0.5)))
-    bad = EncoderConfig(PenaltyConfig("lap", 0.5, laplacian=np.eye(4)))
-    with pytest.raises(ContractError):
-        encode(Y, A, bad)
+    # the kNN graph needs more columns than neighbours
+    for n in (3, 4):
+        A, Y = _random_instance(2, n=n)
+        with pytest.raises(ConfigError):
+            encode(Y, A, EncoderConfig(PenaltyConfig("lap", 0.5, knn_k=4)))
 
 
 def test_shape_mismatch_raises():

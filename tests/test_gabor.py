@@ -8,7 +8,7 @@ import pytest
 from locosparse.errors import ContractError, DegenerateInputError
 from locosparse.gabor import (GaborParams, canonical_vector, fold_phase,
                               gabor_fit, render_gabor, shape_metrics)
-from locosparse.gabor import (_GRID_FREQS, _GRID_PHASES, _GRID_THETAS,
+from locosparse.gabor import (_GRID_FREQS, _GRID_PHASES, _GRID_THETAS, _NUM_STARTS,
                               _coarse_grid, _coords, _evaluate, _vector)
 
 from oracles import fd_gradient, gabor_grid_loop
@@ -109,9 +109,9 @@ def test_coarse_grid_matches_per_candidate_loop(kind, side):
     flat = (img - img.mean()).ravel()
     peak = int(np.argmax(np.abs(flat)))
     u0, v0 = float(peak % side), float(peak // side)
-    sse, amp, starts = _coarse_grid(flat, *_coords(side), u0, v0, side / 4.0, 3)
+    sse, amp, starts = _coarse_grid(flat, *_coords(side), u0, v0, side / 4.0)
     scores, want_starts = gabor_grid_loop(flat, side, u0, v0, side / 4.0, _GRID_THETAS,
-                                          _GRID_FREQS, _GRID_PHASES, 3)
+                                          _GRID_FREQS, _GRID_PHASES, _NUM_STARTS)
     assert np.array(scores).tobytes() == np.stack([sse, amp], axis=1).tobytes()
     assert np.array(starts).tobytes() == np.array(want_starts).tobytes()
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from locosparse import penalties
 from locosparse.errors import ConfigError, ContractError
 from locosparse.graphs import knn_adjacency, laplacian_from_adjacency
 from locosparse.penalties import PenaltyConfig
@@ -25,13 +26,13 @@ def _fit(Y, A, X):
 def test_penalty_config_validation():
     PenaltyConfig("l1", 0.0)
     PenaltyConfig("wl", 2.5)
-    PenaltyConfig("lap", 0.1, laplacian=np.eye(3))
+    PenaltyConfig("lap", 0.1, knn_k=3)
     with pytest.raises(ConfigError):
         PenaltyConfig("huber", 0.5)
     with pytest.raises(ConfigError):
         PenaltyConfig("l1", -0.1)
     with pytest.raises(ConfigError):
-        PenaltyConfig("lap", 0.5, laplacian=np.zeros((2, 3)))
+        PenaltyConfig("lap", 0.5, knn_k=0)
 
 
 def test_l1_penalty_value():
@@ -120,9 +121,9 @@ def test_lap_penalty_value_is_trace_form():
     A = rng.normal(size=(4, 3))
     Y = rng.normal(size=(4, 5))
     X = rng.normal(size=(3, 5))
-    G = rng.normal(size=(5, 5))
+    G = laplacian_from_adjacency(knn_adjacency(Y, 2)).matrix
     want = _fit(Y, A, X) + 0.9 * np.trace(X @ G @ X.T)
-    assert PenaltyConfig("lap", 0.9, G).bind(A, Y).objective(X) == pytest.approx(want)
+    assert PenaltyConfig("lap", 0.9, knn_k=2).bind(A, Y).objective(X) == pytest.approx(want)
 
 
 def test_lap_code_gradient_matches_finite_differences():
@@ -135,21 +136,21 @@ def test_lap_code_gradient_matches_finite_differences():
         A = rng.normal(size=(d, m))
         Y = rng.normal(size=(d, n))
         X0 = rng.normal(size=(m, n))
-        # a deliberately asymmetric G exercises the G + G^T symmetrization
-        G = rng.normal(size=(n, n))
+        G = laplacian_from_adjacency(knn_adjacency(Y, 1)).matrix
 
         def objective(x_flat):
             X = x_flat.reshape(m, n)
             return _fit(Y, A, X) + lam * float(((X @ G) * X).sum())
 
-        got = PenaltyConfig("lap", lam, G).bind(A, Y).code_gradient(X0).reshape(-1)
+        got = PenaltyConfig("lap", lam, knn_k=1).bind(A, Y).code_gradient(X0).reshape(-1)
         want = fd_gradient(objective, X0.reshape(-1))
         assert _rel_err(got, want) < 1e-6
 
 
 def test_lap_gradient_shape_errors():
     with pytest.raises(ContractError):
-        PenaltyConfig("lap", 0.5, np.zeros((3, 3))).bind(np.zeros((3, 2)), np.zeros((3, 4)))
+        PenaltyConfig("lap", 0.5).bind(np.zeros((4, 2)), np.zeros((3, 6)))
+    # the kNN graph needs more columns than knn_k
     with pytest.raises(ConfigError):
         PenaltyConfig("lap", 0.5).bind(np.zeros((3, 2)), np.zeros((3, 4)))
 
@@ -160,12 +161,22 @@ def test_wl_atom_gradient_shape_errors():
                         PenaltyConfig("wl", 0.5), 1.0, CounterRng(0))
 
 
-def test_batch_graph_only_for_lap():
-    Y = np.random.default_rng(40).normal(size=(5, 9))
+def test_batch_graph_only_for_lap(monkeypatch):
+    rng = np.random.default_rng(40)
+    Y = rng.normal(size=(5, 9))
+    A = rng.normal(size=(5, 4))
+    calls = []
+
+    def recording_knn(Y, k):
+        calls.append(k)
+        return knn_adjacency(Y, k)
+
+    monkeypatch.setattr(penalties, "knn_adjacency", recording_knn)
     for kind in ("l1", "wl"):
-        pen = PenaltyConfig(kind, 0.5)
-        assert pen.with_batch_graph(Y, 3) is pen
-    lap = PenaltyConfig("lap", 0.5).with_batch_graph(Y, 3)
+        PenaltyConfig(kind, 0.5, knn_k=3).bind(A, Y)
+    assert calls == []
+    lap = PenaltyConfig("lap", 0.5, knn_k=3).bind(A, Y)
+    assert calls == [3]
     want = laplacian_from_adjacency(knn_adjacency(Y, 3)).matrix
-    assert np.array_equal(lap.laplacian, want)
-    assert lap.kind == "lap" and lap.lam == 0.5
+    assert np.array_equal(lap.G, want)
+    assert np.array_equal(lap.Gsym, want + want.T)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from locosparse.encoder import EncoderConfig
 from locosparse.errors import ConfigError, ContractError, FormatError, StorageError
 from locosparse.penalties import PenaltyConfig
 from locosparse.rng import CounterRng, derive_seed
@@ -16,7 +15,7 @@ from synthdata import dead_leaves_image
 def _small_cfg(kind="wl", **kw):
     base = dict(num_atoms=6, patch_side=4,
                 penalty=PenaltyConfig(kind, 0.3),
-                encoder=EncoderConfig(steps=5),
+                steps=5,
                 epochs=8, batch_size=12, seed=2)
     base.update(kw)
     return TrainConfig(**base)
@@ -192,6 +191,12 @@ def test_train_config_validation():
     pen = PenaltyConfig("l1", 0.5)
     with pytest.raises(ConfigError):
         TrainConfig(num_atoms=0, patch_side=4, penalty=pen)
+    with pytest.raises(ConfigError):
+        TrainConfig(num_atoms=4, patch_side=1, penalty=pen)
+    with pytest.raises(ConfigError):
+        TrainConfig(num_atoms=4, patch_side=4, penalty=pen, steps=0)
+    with pytest.raises(ConfigError):
+        TrainConfig(num_atoms=4, patch_side=4, penalty=pen, momentum_mode="turbo")
     with pytest.raises(ConfigError):
         TrainConfig(num_atoms=4, patch_side=4, penalty=pen, epochs=-1)
     with pytest.raises(ConfigError):
