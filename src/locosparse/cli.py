@@ -125,10 +125,7 @@ def entrypoint(argv=None):
     command = shlex.join(["locosparse"] + argv)
     try:
         return args.func(args, command)
-    except LocosparseError as exc:
-        print(f"locosparse: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LocosparseError, OSError) as exc:
         print(f"locosparse: error: {exc}", file=sys.stderr)
         return 1
 
@@ -227,12 +224,12 @@ def _cmd_eval(args, command):
             fh.write(f"{_fmt_float(hist.bin_edges[i])},"
                      f"{_fmt_float(hist.bin_edges[i + 1])},{int(hist.counts[i])}\n")
 
-    converged_count = sum(1 for p in params if p.converged)
+    converged_count = len(params) - hist.excluded
     summary_path = f"{args.out}.summary.txt"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(f"neurons={len(params)}\n")
         fh.write(f"converged={converged_count}\n")
-        fh.write(f"non_converged={len(params) - converged_count}\n")
+        fh.write(f"non_converged={hist.excluded}\n")
         fh.write(f"symmetry_score={_fmt_float(balance)}\n")
         fh.write(f"source={args.source}\n")
         fh.write(f"bins={args.bins}\n")

@@ -5,9 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-
-# bound on the difference scratch of one row block in knn_adjacency
-_KNN_SCRATCH_BYTES = 16 * 2**20
+from .simplex import pairwise_sq_distances
 
 
 @dataclass(frozen=True)
@@ -38,26 +36,21 @@ def knn_adjacency(Y, k):
 
     Edge (i, j) is set when j is among i's k nearest columns in
     Euclidean distance or i is among j's. Ties resolve toward the lower
-    index and the diagonal stays zero. Distances are computed for a
-    block of rows at a time, so the difference scratch stays under
-    about 16 MB whatever the column count (one row needs d * b floats).
+    index and the diagonal stays zero. The squared distances come from
+    `pairwise_sq_distances(Y, Y)`.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
         raise ContractError("stimuli must be a d x b matrix")
-    d, b = Y.shape
+    b = Y.shape[1]
     if k < 1 or k >= b:
         raise ConfigError(f"k must satisfy 1 <= k < b, got k={k} with b={b}")
-    block = max(1, _KNN_SCRATCH_BYTES // (Y.itemsize * max(d, 1) * b))
+    d2 = pairwise_sq_distances(Y, Y)
+    np.fill_diagonal(d2, np.inf)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    del d2
     W = np.zeros((b, b))
-    for start in range(0, b, block):
-        stop = min(start + block, b)
-        rows = np.arange(start, stop)
-        diff = Y[:, start:stop, None] - Y[:, None, :]
-        d2 = np.einsum("dij,dij->ij", diff, diff)
-        d2[rows - start, rows] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        W[np.repeat(rows, k), order[:, :k].reshape(-1)] = 1.0
+    W[np.repeat(np.arange(b), k), nearest.reshape(-1)] = 1.0
     return np.maximum(W, W.T)
 
 

@@ -64,8 +64,8 @@ class BatchObjective:
 
     The penalty is lam * sum |x_ji| (l1), lam * sum_ji x_ji ||y_i - a_j||^2
     (wl) or lam * tr(X G X^T) (lap), with G the Laplacian of the binary
-    kNN graph (k = knn_k) over the batch's columns. The wl distances and
-    the lap G + G^T are computed once here, not once per step.
+    kNN graph (k = knn_k) over the batch's columns, symmetric, so its code
+    gradient is 2 lam X G. The wl distances and G are built once, not per step.
     """
 
     def __init__(self, penalty, A, Y):
@@ -78,7 +78,6 @@ class BatchObjective:
             self.D = pairwise_sq_distances(A, Y)
         elif self.kind == "lap":
             self.G = laplacian_from_adjacency(knn_adjacency(Y, penalty.knn_k)).matrix
-            self.Gsym = self.G + self.G.T
 
     def objective(self, X):
         """The objective summed over the batch."""
@@ -96,7 +95,7 @@ class BatchObjective:
         if self.kind == "wl":
             return grad + self.lam * self.D
         if self.kind == "lap":
-            return grad + self.lam * (X @ self.Gsym)
+            return grad + (2.0 * self.lam) * (X @ self.G)
         return grad
 
     def prox(self, Z, alpha):

@@ -4,6 +4,9 @@ import numpy as np
 
 from .errors import ContractError
 
+# bound on the difference scratch of one atom block in pairwise_sq_distances
+_DIFF_SCRATCH_BYTES = 16 * 2**20
+
 
 def project_simplex(x):
     """Euclidean projection of a vector onto {z : z >= 0, sum(z) = 1}.
@@ -46,11 +49,19 @@ def pairwise_sq_distances(A, Y):
     """Matrix D with D[j, i] = ||y_i - a_j||^2.
 
     Computed from explicit differences rather than the norm expansion so
-    identical columns give exact zeros and entries never go negative.
+    identical columns give exact zeros and entries never go negative. The
+    difference tensor is built and freed one block of atom columns at a
+    time, within `_DIFF_SCRATCH_BYTES` (or one column, if that is larger).
     """
     A = np.asarray(A, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if A.ndim != 2 or Y.ndim != 2 or A.shape[0] != Y.shape[0]:
         raise ContractError(f"shape mismatch: A {A.shape} vs Y {Y.shape}")
-    diff = A[:, :, None] - Y[:, None, :]
-    return np.einsum("dmn,dmn->mn", diff, diff)
+    (d, m), n = A.shape, Y.shape[1]
+    block = max(1, _DIFF_SCRATCH_BYTES // (A.itemsize * max(d, 1) * max(n, 1)))
+    D = np.empty((m, n))
+    for start in range(0, m, block):
+        diff = A[:, start:start + block, None] - Y[:, None, :]
+        np.einsum("dmn,dmn->mn", diff, diff, out=D[start:start + block])
+        del diff
+    return D

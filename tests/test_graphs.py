@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from locosparse import graphs
+from locosparse import simplex
 from locosparse.errors import ConfigError, ContractError
 from locosparse.graphs import (GraphLaplacian, bipartite_laplacian,
                                knn_adjacency, laplacian_from_adjacency)
@@ -68,7 +68,7 @@ def test_knn_row_blocks_match_full_tensor(monkeypatch):
     # three copies of one point, split over the blocks of rows 0-3, 4-7, 8-11
     Y[:, 4] = Y[:, 3]
     Y[:, 8] = Y[:, 3]
-    monkeypatch.setattr(graphs, "_KNN_SCRATCH_BYTES", 4 * Y.itemsize * d * b)
+    monkeypatch.setattr(simplex, "_DIFF_SCRATCH_BYTES", 4 * Y.itemsize * d * b)
     for k in (1, 2, 3, 7):
         assert np.array_equal(knn_adjacency(Y, k), _knn_adjacency_full(Y, k))
     empty = np.zeros((0, 4))  # no features: every distance ties at zero

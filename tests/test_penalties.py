@@ -179,4 +179,3 @@ def test_batch_graph_only_for_lap(monkeypatch):
     assert calls == [3]
     want = laplacian_from_adjacency(knn_adjacency(Y, 3)).matrix
     assert np.array_equal(lap.G, want)
-    assert np.array_equal(lap.Gsym, want + want.T)

@@ -1,8 +1,11 @@
 """Simplex projection against a brute-force active-set oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from locosparse import simplex
 from locosparse.errors import ContractError
 from locosparse.simplex import (pairwise_sq_distances, project_columns,
                                 project_simplex)
@@ -107,3 +110,42 @@ def test_pairwise_distances_shape_errors():
     with pytest.raises(ContractError):
         pairwise_sq_distances(np.zeros((3, 2)), np.zeros((4, 2)))
 
+
+def _sq_distances_one_tensor(A, Y):
+    """Reference: one d x m x n difference tensor for all atoms at once."""
+    diff = A[:, :, None] - Y[:, None, :]
+    return np.einsum("dmn,dmn->mn", diff, diff)
+
+
+def test_pairwise_distances_blocks_match_single_block(monkeypatch):
+    rng = np.random.default_rng(33)
+    d, m, n = 5, 10, 7
+    A = rng.normal(size=(d, m))
+    Y = rng.normal(size=(d, n))
+    # repeated atoms in different blocks of 3, and a stimulus equal to an atom
+    A[:, 4] = A[:, 1]
+    A[:, 9] = A[:, 1]
+    Y[:, 2] = A[:, 1]
+    for A_, Y_ in ((A, Y), (np.zeros((0, m)), np.zeros((0, n)))):
+        want = _sq_distances_one_tensor(A_, Y_)
+        for cols in (1, 3, m):
+            scratch = cols * A_.itemsize * max(A_.shape[0], 1) * n
+            monkeypatch.setattr(simplex, "_DIFF_SCRATCH_BYTES", scratch)
+            got = pairwise_sq_distances(A_, Y_)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert pairwise_sq_distances(A, Y)[[1, 4, 9], 2].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_pairwise_distances_scratch_is_bounded():
+    rng = np.random.default_rng(35)
+    A = rng.normal(size=(64, 64))
+    Y = rng.normal(size=(64, 1024))
+    out_bytes = A.shape[1] * Y.shape[1] * A.itemsize
+    tracemalloc.start()
+    try:
+        pairwise_sq_distances(A, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simplex._DIFF_SCRATCH_BYTES + out_bytes + 2**20
