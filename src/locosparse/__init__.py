@@ -10,8 +10,7 @@ from .gabor import GaborParams, canonical_vector, fold_phase, gabor_fit, render_
 from .graphs import GraphLaplacian, bipartite_laplacian, knn_adjacency, laplacian_from_adjacency
 from .patches import PatchSamplerConfig, StimulusBatch, sample_patches
 from .penalties import BatchObjective, PenaltyConfig
-from .rfeval import (PhaseHistogram, ReceptiveField, phase_histogram,
-                     sta_receptive_fields, symmetry_score)
+from .rfeval import PhaseHistogram, phase_histogram, sta_receptive_fields, symmetry_score
 from .rng import CounterRng, derive_seed, mix64
 from .simplex import pairwise_sq_distances, project_columns, project_simplex
 from .spectral import ClusterAssignment, spectral_cluster, symmetric_eigendecomposition

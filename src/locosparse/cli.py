@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 import argparse
+import math
 import shlex
 import sys
 import time
@@ -12,13 +13,13 @@ import numpy as np
 
 from .encoder import MOMENTUM_MODES, EncoderConfig, encode
 from .errors import LocosparseError
-from .gabor import fold_phase, gabor_fit, shape_metrics, unfit_params
+from .gabor import fold_phase, gabor_fit, shape_metrics
 from .graphs import bipartite_laplacian, knn_adjacency, laplacian_from_adjacency
 from .manifest import write_manifest
 from .patches import MIN_PATCH_SIDE
 from .penalties import KINDS, PenaltyConfig
 from .render import render_grid_svg
-from .rfeval import ReceptiveField, phase_histogram, sta_receptive_fields, symmetry_score
+from .rfeval import phase_histogram, sta_receptive_fields, symmetry_score
 from .spectral import spectral_cluster
 from .tensor import load_image_stack, load_tensor
 from .trainer import TrainConfig, load_model, save_model, train
@@ -48,15 +49,16 @@ def _non_negative_int(text):
 
 def _positive_float(text):
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
     return value
 
 
 def _non_negative_float(text):
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number, got {text}")
     return value
 
 
@@ -184,8 +186,7 @@ def _cmd_eval(args, command):
     side = dictionary.patch_side
 
     if args.source == "atoms":
-        fields = [ReceptiveField(atoms[:, j].reshape(side, side), j, 1.0)
-                  for j in range(atoms.shape[1])]
+        fields = [atoms[:, j].reshape(side, side) for j in range(atoms.shape[1])]
     else:
         penalty = PenaltyConfig(meta["penalty"], meta["lambda"], meta["knn_k"])
         cfg = EncoderConfig(penalty, meta["steps"], meta["momentum_mode"])
@@ -195,8 +196,7 @@ def _cmd_eval(args, command):
 
         fields = sta_receptive_fields(respond, side, args.samples, args.seed)
 
-    params = [unfit_params(side) if rf.dead or not rf.image.any()
-              else gabor_fit(rf) for rf in fields]
+    params = [gabor_fit(image) for image in fields]
     # both histograms raise when no fit converged, so build them before
     # opening any output: a failing eval writes nothing
     hist = phase_histogram(params, args.bins)

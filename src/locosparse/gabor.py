@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError
 
 _GRID_THETAS = np.linspace(0.0, np.pi, 12, endpoint=False)
 _GRID_FREQS = np.geomspace(0.05, 0.45, 8)
@@ -195,33 +195,33 @@ def canonical_vector(q):
     return np.array([K, u0, v0, theta, sx, sy, f, phi])
 
 
-def unfit_params(side):
+def _unfit_params(side):
     """The record of a field with nothing to fit: centred, unconverged, residual 1."""
     center = (side - 1) / 2.0
     return GaborParams(0.0, center, center, 0.0, side / 4.0, side / 4.0,
                        float(_GRID_FREQS[0]), 0.0, residual=1.0, converged=False)
 
 
-def gabor_fit(rf):
+def gabor_fit(image):
     """Least-squares Gabor fit to a square receptive-field image.
 
     The field is mean-subtracted first (the model carries no DC term).
     converged requires both the step tolerance to bite and a relative
-    residual under 0.5; constant fields come back unconverged with
-    residual 1 since they carry no oscillatory structure at all.
+    residual under 0.5. A field with no oscillatory structure at all,
+    zero or constant, comes back as the unfit record: centred,
+    unconverged, residual 1.
     """
-    img = np.asarray(rf.image if hasattr(rf, "image") else rf, dtype=np.float64)
+    img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
         raise ContractError("receptive field must be a square image")
     if not np.isfinite(img).all():
         raise ContractError("receptive field must be finite")
     side = img.shape[0]
-    if not img.any():
-        raise DegenerateInputError("all-zero receptive field")
+    # not tnorm == 0: the mean of a constant field can round off its value
+    if img.min() == img.max():
+        return _unfit_params(side)
     target = img - img.mean()
     tnorm = float(np.linalg.norm(target))
-    if tnorm == 0.0:
-        return unfit_params(side)
 
     u, v = _coords(side)
     flat = target.ravel()

@@ -10,7 +10,11 @@ from .simplex import pairwise_sq_distances
 
 @dataclass(frozen=True)
 class GraphLaplacian:
-    """Symmetric Laplacian D - W: zero row sums, non-positive off-diagonal."""
+    """Symmetric Laplacian D - W: zero row sums, non-positive off-diagonal.
+
+    The checks' tolerances scale with max(1, max |G|), so a graph and any
+    positive multiple of it pass or fail together.
+    """
 
     matrix: np.ndarray
 
@@ -18,12 +22,13 @@ class GraphLaplacian:
         G = self.matrix
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ContractError("laplacian must be square")
-        if np.abs(G - G.T).max() > 1e-12:
+        scale = max(1.0, float(np.abs(G).max()))
+        if np.abs(G - G.T).max() > 1e-12 * scale:
             raise ContractError("laplacian must be symmetric")
-        if np.abs(G.sum(axis=1)).max() > 1e-10:
+        if np.abs(G.sum(axis=1)).max() > 1e-10 * scale:
             raise ContractError("laplacian rows must sum to zero")
         off = G - np.diag(np.diag(G))
-        if off.max() > 1e-12:
+        if off.max() > 1e-12 * scale:
             raise ContractError("laplacian off-diagonal entries must be non-positive")
 
     @property

@@ -10,6 +10,7 @@ the dictionary update both call it. It is also the only module that
 builds the lap graph. Every value is a sum over the batch, not a mean.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be non-negative, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lambda must be finite and non-negative, got {self.lam}")
         if self.knn_k < 1:
             raise ConfigError(f"knn_k must be positive, got {self.knn_k}")
 

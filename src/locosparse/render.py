@@ -22,8 +22,8 @@ def render_grid_svg(matrix, cols, cell_px):
     side = math.isqrt(d)
     if side * side != d:
         raise ContractError(f"column length {d} is not a perfect square")
-    if cols < 1 or cell_px <= 0:
-        raise ContractError("cols and cell_px must be positive")
+    if cols < 1 or not (math.isfinite(cell_px) and cell_px > 0):
+        raise ContractError("cols and cell_px must be positive and finite")
     rows = -(-m // cols)
     px = cell_px / side
     width, height = cols * cell_px, rows * cell_px

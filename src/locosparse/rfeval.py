@@ -9,26 +9,10 @@ from .gabor import fold_phase
 from .rng import CounterRng, derive_seed
 
 _DEAD_RESPONSE = 1e-9
+_CHUNK = 1024  # stimuli per block handed to `respond`
 
 
-@dataclass(frozen=True)
-class ReceptiveField:
-    """Response-weighted stimulus average for one neuron.
-
-    total_response is the normalizer that was used; zero marks a dead
-    neuron whose image is all zeros.
-    """
-
-    image: np.ndarray
-    neuron_id: int
-    total_response: float
-
-    @property
-    def dead(self):
-        return self.total_response == 0.0
-
-
-def sta_receptive_fields(respond, patch_side, num_samples, seed, chunk_size=1024):
+def sta_receptive_fields(respond, patch_side, num_samples, seed):
     """Spike-triggered averages under Gaussian white noise.
 
     Args:
@@ -37,13 +21,13 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed, chunk_size=1024
         patch_side: pixel edge of the stimulus patches.
         num_samples: white-noise stimuli to draw.
         seed: stream seed; the same seed reproduces the fields exactly.
-        chunk_size: stimuli per block handed to `respond`.
 
-    Neuron j gets RF_j = sum_s x_j(y_s) y_s / sum_s x_j(y_s). Noise is
-    drawn per sample (all d values of a stimulus are consecutive in the
-    stream), so the draw does not depend on how many samples remain in
-    the final chunk. Neurons whose total response stays below 1e-9 are
-    flagged dead rather than divided by nearly nothing.
+    Returns an m x patch_side x patch_side stack whose image j is
+    RF_j = sum_s x_j(y_s) y_s / sum_s x_j(y_s). Noise is drawn per
+    sample (all d values of a stimulus are consecutive in the stream),
+    so the draw does not depend on how many samples remain in the final
+    chunk. A dead neuron, whose total response stays below 1e-9, gets a
+    zero image rather than a division by nearly nothing.
     """
     if num_samples < 1:
         raise ConfigError("num_samples must be positive")
@@ -53,7 +37,7 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed, chunk_size=1024
     totals = None
     done = 0
     while done < num_samples:
-        c = min(chunk_size, num_samples - done)
+        c = min(_CHUNK, num_samples - done)
         Y = rng.normals(d * c).reshape(c, d).T
         X = np.asarray(respond(Y), dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != c:
@@ -64,14 +48,10 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed, chunk_size=1024
         weighted += Y @ X.T
         totals += X.sum(axis=1)
         done += c
-    fields = []
-    for j in range(totals.size):
-        if totals[j] < _DEAD_RESPONSE:
-            fields.append(ReceptiveField(np.zeros((patch_side, patch_side)), j, 0.0))
-        else:
-            image = (weighted[:, j] / totals[j]).reshape(patch_side, patch_side)
-            fields.append(ReceptiveField(image, j, float(totals[j])))
-    return fields
+    live = totals >= _DEAD_RESPONSE
+    fields = np.zeros((totals.size, d))
+    fields[live] = weighted.T[live] / totals[live, None]
+    return fields.reshape(totals.size, patch_side, patch_side)
 
 
 @dataclass(frozen=True)

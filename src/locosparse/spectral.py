@@ -30,12 +30,13 @@ def symmetric_eigendecomposition(M):
     """Full eigensystem of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
     Returns (eigenvalues ascending, eigenvectors as matching columns).
-    The input is symmetrized as (M + M^T) / 2 after the symmetry check.
+    The input is symmetrized as (M + M^T) / 2 after a symmetry check
+    whose tolerance scales with max(1, max |M|).
     """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractError("matrix must be square")
-    if np.abs(A - A.T).max() > 1e-10:
+    if np.abs(A - A.T).max() > 1e-10 * max(1.0, float(np.abs(A).max())):
         raise ContractError("matrix must be symmetric")
     try:
         return np.linalg.eigh((A + A.T) / 2.0)

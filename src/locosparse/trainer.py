@@ -6,6 +6,7 @@ by column renormalization. Atoms that lose their norm or receive no
 activation in a batch are redrawn from the seeded generator.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +63,8 @@ class TrainConfig:
         self.encoder_config()  # validates steps and momentum_mode
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
-        if self.dict_learning_rate <= 0:
-            raise ConfigError("dict_learning_rate must be positive")
+        if not (math.isfinite(self.dict_learning_rate) and self.dict_learning_rate > 0):
+            raise ConfigError("dict_learning_rate must be finite and positive")
 
     def encoder_config(self):
         return EncoderConfig(self.penalty, self.steps, self.momentum_mode)
@@ -95,9 +96,10 @@ def dictionary_step(A, Y, X, penalty, lr, rng):
     """One gradient step on the atoms, renormalized column-wise.
 
     The step is lr times the penalty's `atom_gradient` divided by the
-    batch size. Columns whose norm collapses are redrawn as fresh unit
+    batch size. Columns whose norm collapses, then columns whose code
+    row is all zero, each in ascending order, are redrawn as fresh unit
     vectors from `rng`. Returns the updated atoms together with the
-    redrawn column indices.
+    sorted indices of every redrawn column.
     """
     A = np.asarray(A, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -111,13 +113,13 @@ def dictionary_step(A, Y, X, penalty, lr, rng):
         raise DivergenceError("non-finite dictionary gradient")
     out = A - (lr / b) * grad
     norms = np.sqrt((out * out).sum(axis=0))
-    dead = np.flatnonzero(norms < _DEAD_NORM)
     alive = norms >= _DEAD_NORM
     out[:, alive] /= norms[alive]
-    for j in dead:
+    unused = alive & (np.abs(X).sum(axis=1) == 0.0)
+    for j in (*np.flatnonzero(~alive), *np.flatnonzero(unused)):
         col = rng.normals(out.shape[0])
         out[:, j] = col / np.linalg.norm(col)
-    return out, [int(j) for j in dead]
+    return out, np.flatnonzero(~alive | unused).tolist()
 
 
 def train(images, cfg):
@@ -143,14 +145,8 @@ def train(images, cfg):
         losses[batch_idx] = objective / cfg.batch_size
         atoms, redrawn = dictionary_step(atoms, Y, X, cfg.penalty,
                                          cfg.dict_learning_rate, reinit_rng)
-        inactive = [int(j) for j in np.flatnonzero(np.abs(X).sum(axis=1) == 0.0)
-                    if int(j) not in redrawn]
-        for j in inactive:
-            col = reinit_rng.normals(d)
-            atoms[:, j] = col / np.linalg.norm(col)
-        flagged = sorted(set(redrawn) | set(inactive))
-        if flagged:
-            reinit_events.append((batch_idx, tuple(flagged)))
+        if redrawn:
+            reinit_events.append((batch_idx, tuple(redrawn)))
     return TrainedModel(Dictionary(atoms, cfg.patch_side), cfg, losses, reinit_events)
 
 

@@ -192,6 +192,26 @@ def test_cluster_bipartite(workspace):
     assert labels[0] != labels[2]
 
 
+def test_cluster_bipartite_is_scale_free(workspace):
+    # codes of magnitude ~1e5 and ~1e17 are as valid as codes near 1;
+    # power-of-two scales are exact, so the labels must not move
+    rng = np.random.default_rng(8)
+    X = 0.01 * rng.uniform(size=(4, 6))
+    X[:2, :3] += 0.5 + rng.uniform(size=(2, 3))
+    X[2:, 3:] += 0.5 + rng.uniform(size=(2, 3))
+    csvs = []
+    for power in (0, 17, 40):
+        codes = workspace / f"scaled{power}.sct"
+        save_tensor(X * 2.0 ** power, str(codes))
+        out = workspace / f"scaled{power}.csv"
+        code = entrypoint(["cluster", "--codes", str(codes), "--k", "2",
+                           "--mode", "bipartite", "--out", str(out)])
+        assert code == 0, power
+        csvs.append(out.read_bytes())
+    assert csvs[1] == csvs[0]
+    assert csvs[2] == csvs[0]
+
+
 def test_cluster_stimuli_mode(workspace):
     codes = workspace / "stim_codes.sct"
     rng = np.random.default_rng(0)
@@ -220,11 +240,17 @@ def test_bad_choice_exits_2():
 
 
 def test_non_positive_numeric_flag_exits_2():
-    for flag in (["--num-atoms", "0"], ["--patch-size", "1"]):
+    for flag in (["--num-atoms", "0"], ["--patch-size", "1"],
+                 ["--lambda", "nan"], ["--lambda", "inf"],
+                 ["--lr", "nan"], ["--lr", "inf"]):
         with pytest.raises(SystemExit) as exc:
             entrypoint(["train", "--data", "x.sct", "--penalty", "l1",
                         *flag, "--out", "y"])
         assert exc.value.code == 2, flag
+    for cell in ("nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            entrypoint(["render", "--tensor", "x.sct", "--cell", cell, "--out", "y.svg"])
+        assert exc.value.code == 2, cell
 
 
 def test_cluster_k_exceeding_vertices_returns_2(workspace, capsys):

@@ -1,15 +1,17 @@
 """Gabor rendering, fitting, and the phase-fold convention."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from locosparse.errors import ContractError, DegenerateInputError
+from locosparse.errors import ContractError
 from locosparse.gabor import (GaborParams, canonical_vector, fold_phase,
                               gabor_fit, render_gabor, shape_metrics)
 from locosparse.gabor import (_GRID_FREQS, _GRID_PHASES, _GRID_THETAS, _NUM_STARTS,
-                              _coarse_grid, _coords, _evaluate, _vector)
+                              _coarse_grid, _coords, _evaluate, _unfit_params, _vector)
+from locosparse.rfeval import sta_receptive_fields
 
 from oracles import fd_gradient, gabor_grid_loop
 
@@ -161,8 +163,7 @@ def test_fold_phase_even_and_odd_renders():
 def test_gabor_fit_input_contracts():
     with pytest.raises(ContractError):
         gabor_fit(np.zeros((4, 5)))
-    with pytest.raises(DegenerateInputError):
-        gabor_fit(np.zeros((8, 8)))
+    assert gabor_fit(np.zeros((8, 8))) == _unfit_params(8)
     for bad in (np.nan, np.inf):
         img = render_gabor(_params(), 16)
         img[3, 4] = bad
@@ -174,6 +175,21 @@ def test_constant_field_does_not_converge():
     fit = gabor_fit(np.full((8, 8), 2.0))
     assert not fit.converged
     assert fit.residual == 1.0
+
+
+def test_nothing_to_fit_gives_the_unfit_record():
+    # one rule for every field without oscillatory structure: a zero
+    # image, constant images (the mean of 64 copies of 0.1 rounds off
+    # 0.1, so mean subtraction alone leaves a nonzero residue), and the
+    # zero image sta_receptive_fields returns for a dead neuron
+    def respond(Y):
+        return np.vstack([np.maximum(Y[:1], 0.0), np.zeros((1, Y.shape[1]))])
+    dead = sta_receptive_fields(respond, 6, 50, seed=0)[1]
+    for image in (np.zeros((8, 8)), np.full((8, 8), 2.0), np.full((8, 8), 0.1),
+                  np.full((5, 5), -3.7), dead):
+        want = _unfit_params(image.shape[0])
+        got = gabor_fit(image)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want), image.shape
 
 
 def test_no_wrong_convergence_on_structured_nongabor():

@@ -29,8 +29,9 @@ def test_penalty_config_validation():
     PenaltyConfig("lap", 0.1, knn_k=3)
     with pytest.raises(ConfigError):
         PenaltyConfig("huber", 0.5)
-    with pytest.raises(ConfigError):
-        PenaltyConfig("l1", -0.1)
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            PenaltyConfig("l1", lam)
     with pytest.raises(ConfigError):
         PenaltyConfig("lap", 0.5, knn_k=0)
 
@@ -153,6 +154,17 @@ def test_lap_gradient_shape_errors():
     # the kNN graph needs more columns than knn_k
     with pytest.raises(ConfigError):
         PenaltyConfig("lap", 0.5).bind(np.zeros((3, 2)), np.zeros((3, 4)))
+
+
+def test_atom_gradient_is_zero_for_zero_codes():
+    # no code, no pull on the atoms: the data term's gradient
+    # (AX - Y) X^T and wl's charge both vanish at X = 0
+    rng = np.random.default_rng(41)
+    A = rng.normal(size=(9, 4))
+    Y = rng.normal(size=(9, 6))
+    for kind in ("l1", "wl", "lap"):
+        grad = PenaltyConfig(kind, 0.5).atom_gradient(A, Y, np.zeros((4, 6)))
+        assert np.array_equal(grad, np.zeros((9, 4))), kind
 
 
 def test_wl_atom_gradient_shape_errors():

@@ -88,5 +88,6 @@ def test_render_contract_errors():
         render_grid_svg(np.zeros((5, 2)), 1, 8.0)  # 5 not a perfect square
     with pytest.raises(ContractError):
         render_grid_svg(np.zeros((4, 2)), 0, 8.0)
-    with pytest.raises(ContractError):
-        render_grid_svg(np.zeros((4, 2)), 1, 0.0)
+    for cell in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ContractError):
+            render_grid_svg(np.zeros((4, 2)), 1, cell)

@@ -46,14 +46,33 @@ def test_dictionary_step_keeps_unit_norms():
     assert np.allclose(np.linalg.norm(out, axis=0), 1.0, atol=1e-12)
 
 
-def test_dictionary_step_zero_codes_leave_atoms_unchanged():
+def _unit_draws(rng, d, count):
+    cols = [rng.normals(d) for _ in range(count)]
+    return np.stack([c / np.linalg.norm(c) for c in cols], axis=1)
+
+
+def test_dictionary_step_zero_codes_redraw_every_atom():
+    # no atom is used, so every one is redrawn, in ascending order
     A = init_dictionary(9, 4, seed=7)
     Y = np.random.default_rng(1).normal(size=(9, 6))
     X = np.zeros((4, 6))
     out, redrawn = dictionary_step(A, Y, X, PenaltyConfig("l1", 0.5), 1.0,
                                    CounterRng(0))
-    assert np.allclose(out, A, atol=1e-15)
-    assert redrawn == []
+    assert redrawn == [0, 1, 2, 3]
+    assert np.array_equal(out, _unit_draws(CounterRng(0), 9, 4))
+
+
+def test_dictionary_step_redraws_collapsed_before_unused():
+    # atom 1 collapses (as in the test below) and atom 0 has no code:
+    # atom 1 takes the first draw, atom 0 the second, both are reported
+    A = init_dictionary(4, 2, seed=9)
+    lr = 2.0
+    Y = A[:, 1:] * (1.0 - 1.0 / lr)
+    X = np.array([[0.0], [1.0]])
+    out, redrawn = dictionary_step(A, Y, X, PenaltyConfig("l1", 0.0), lr,
+                                   CounterRng(5))
+    assert redrawn == [0, 1]
+    assert np.array_equal(out[:, [1, 0]], _unit_draws(CounterRng(5), 4, 2))
 
 
 def test_dictionary_step_redraws_collapsed_column():
@@ -199,8 +218,9 @@ def test_train_config_validation():
         TrainConfig(num_atoms=4, patch_side=4, penalty=pen, momentum_mode="turbo")
     with pytest.raises(ConfigError):
         TrainConfig(num_atoms=4, patch_side=4, penalty=pen, epochs=-1)
-    with pytest.raises(ConfigError):
-        TrainConfig(num_atoms=4, patch_side=4, penalty=pen, dict_learning_rate=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            TrainConfig(num_atoms=4, patch_side=4, penalty=pen, dict_learning_rate=lr)
 
 
 def test_dictionary_contract():
