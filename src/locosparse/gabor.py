@@ -5,9 +5,12 @@ The model is g(u, v) = K exp(-(u'^2 / 2 sigma_x^2 + v'^2 / 2 sigma_y^2))
 theta about the center (u0, v0); u is the column index and v the row
 index. Fitting scores a (theta, f, phi) grid with closed-form amplitude
 as one broadcast (candidate, pixel) tensor, refines the best starts with
-damped Gauss-Newton (Levenberg-Marquardt), and canonicalizes the result
-into fixed ranges. Each trial is evaluated once, and an accepted trial's
-shared terms (rotated coordinates, envelope, phase) give the next Jacobian.
+damped Gauss-Newton (Levenberg-Marquardt) confined to the patch, and
+canonicalizes the result into fixed ranges. Each trial is evaluated once,
+and an accepted trial's shared terms (rotated coordinates, envelope,
+phase) give the next Jacobian. A fit is converged when three things hold:
+the step tolerance bites, the relative residual is below 0.5, and the
+centre lies on the patch, [-0.5, side - 0.5]^2.
 """
 
 import math
@@ -132,9 +135,21 @@ def _coarse_grid(flat, u, v, u0, v0, sigma0):
     return sse, amp, starts
 
 
+def _on_patch(q, side):
+    """Whether the centre (u0, v0) lies on the pixel grid, [-0.5, side - 0.5]^2."""
+    return -0.5 <= q[1] <= side - 0.5 and -0.5 <= q[2] <= side - 0.5
+
+
 def _refine(q, flat, u, v):
-    """Damped Gauss-Newton; returns (params, sse, step_tol_met)."""
+    """Damped Gauss-Newton confined to the patch; returns (params, sse, step_tol_met).
+
+    A trial whose centre leaves the patch is rejected like an implausible
+    one, so the returned centre is on the patch. step_tol_met is False when
+    the final iteration rejected such a trial: that start rests against
+    the edge, not at an interior optimum.
+    """
     n = flat.size
+    side = math.isqrt(n)
     image, jacobian = _evaluate(q.tolist(), u, v)
     resid = image - image.sum() / n - flat
     sse = float(resid @ resid)
@@ -146,6 +161,7 @@ def _refine(q, flat, u, v):
         J -= J.sum(axis=0) / n
         g = J.T @ resid
         H = J.T @ J
+        at_edge = False
         for _ in range(50):
             try:
                 delta = np.linalg.solve(H + mu * eye, -g)
@@ -155,6 +171,10 @@ def _refine(q, flat, u, v):
             trial = q + delta
             trial_q = trial.tolist()
             if not _plausible(trial_q):
+                mu *= 10.0
+                continue
+            if not _on_patch(trial_q, side):
+                at_edge = True
                 mu *= 10.0
                 continue
             image, trial_jacobian = _evaluate(trial_q, u, v)
@@ -168,7 +188,7 @@ def _refine(q, flat, u, v):
         else:  # no acceptable step in 50 tries
             break
         if math.sqrt(delta @ delta) <= _STEP_TOL * (1.0 + math.sqrt(q @ q)):
-            hit = True
+            hit = not at_edge
             break
     return q, sse, hit
 
@@ -189,6 +209,15 @@ def canonical_vector(q):
         K, phi = -K, phi + math.pi
     half_turns = math.floor(theta / math.pi)
     theta -= half_turns * math.pi
+    # theta / pi rounds, so the remainder can miss [0, pi): at -1e-17 the
+    # quotient floors to -1 and theta rounds to pi; at -5e-324 it is -0
+    # and theta stays negative
+    if theta < 0.0:
+        theta += math.pi
+        half_turns -= 1
+    if theta >= math.pi:
+        theta -= math.pi
+        half_turns += 1
     if half_turns % 2 != 0:
         phi = -phi
     phi = math.pi - ((math.pi - phi) % (2.0 * math.pi))
@@ -206,9 +235,11 @@ def gabor_fit(image):
     """Least-squares Gabor fit to a square receptive-field image.
 
     The field is mean-subtracted first (the model carries no DC term).
-    converged requires both the step tolerance to bite and a relative
-    residual under 0.5. A field with no oscillatory structure at all,
-    zero or constant, comes back as the unfit record: centred,
+    converged requires three things: the step tolerance bites (with no
+    trial pushed back at the patch edge in the final iteration), the
+    relative residual is under 0.5, and the centre lies on the patch,
+    which refinement never leaves. A field with no oscillatory structure
+    at all, zero or constant, comes back as the unfit record: centred,
     unconverged, residual 1.
     """
     img = np.asarray(image, dtype=np.float64)

@@ -5,6 +5,7 @@ checklist. The heavyweight checks (9 and 10) drive the real command-line
 pipeline on a synthetic scene with two planted stroke populations.
 """
 
+import csv
 import dataclasses
 import itertools
 import math
@@ -315,6 +316,20 @@ def test_criterion_09_locality_penalty_restores_even_symmetric_fields(contrast_r
         assert elapsed < 900.0
         info["detail"] = (f"symmetry {wl_sym:.3f} vs {sc_sym:.3f}, low-phase mass "
                           f"{wl_mass:.3f} vs {sc_mass:.3f}, {elapsed:.0f}s")
+
+
+def test_converged_gate_atom_fits_lie_on_the_patch(contrast_run, capsys):
+    with _verdict(capsys, "gate atom fits, every converged centre on the 8x8 patch") as info:
+        root, _ = contrast_run
+        counts = []
+        for name in ("wl_eval.gabor.csv", "sc_eval.gabor.csv"):
+            with open(root / name, newline="", encoding="utf-8") as fh:
+                rows = [row for row in csv.DictReader(fh) if row["converged"] == "true"]
+            off = [row["neuron_id"] for row in rows
+                   if not all(-0.5 <= float(row[key]) <= 7.5 for key in ("u0", "v0"))]
+            assert not off, (name, off)
+            counts.append(len(rows))
+        info["detail"] = f"wl {counts[0]}, l1 {counts[1]} converged fits, all on the patch"
 
 
 def test_criterion_10_pipeline_is_bit_reproducible(contrast_run, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Gabor rendering, fitting, and the phase-fold convention."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from locosparse.errors import ContractError
 from locosparse.gabor import (GaborParams, canonical_vector, fold_phase,
                               gabor_fit, render_gabor, shape_metrics)
 from locosparse.gabor import (_GRID_FREQS, _GRID_PHASES, _GRID_THETAS, _NUM_STARTS,
-                              _coarse_grid, _coords, _evaluate, _unfit_params, _vector)
+                              _coarse_grid, _coords, _evaluate, _refine, _unfit_params,
+                              _vector)
 from locosparse.rfeval import sta_receptive_fields
 
 from oracles import fd_gradient, gabor_grid_loop
@@ -130,6 +132,18 @@ def test_canonical_vector_preserves_image():
     assert -math.pi < phi <= math.pi
 
 
+@pytest.mark.parametrize("theta", [-1e-17, -1e-16, 2.0 * math.pi - 1e-16, -5e-324])
+def test_canonical_vector_folds_rounded_thetas_into_range(theta):
+    # theta / pi rounds: -1e-17 folds to pi - 1e-17, which rounds to pi,
+    # and -5e-324 / pi underflows to -0, leaving theta negative
+    side = 12
+    raw = np.array([0.9, 5.0, 6.0, theta, 2.0, 3.0, 0.2, 0.3])
+    canon = canonical_vector(raw)
+    assert 0.0 <= canon[3] < math.pi
+    assert -math.pi < canon[7] <= math.pi
+    assert np.allclose(render_gabor(raw, side), render_gabor(canon, side), atol=1e-12)
+
+
 def test_canonical_vector_fixed_point():
     q = np.array([0.9, 5.0, 6.0, 1.0, 2.0, 3.0, 0.2, 0.3])
     assert np.allclose(canonical_vector(q), q, atol=1e-15)
@@ -158,6 +172,58 @@ def test_fold_phase_even_and_odd_renders():
     assert even.converged and odd.converged
     assert fold_phase(even.phase) < 5.0
     assert fold_phase(odd.phase) > 85.0
+
+
+@pytest.mark.parametrize("theta,freq,phase", [(0.3, 0.15, 0.4), (0.0, 0.2, 0.0),
+                                              (1.2, 0.25, 1.0)])
+def test_off_patch_centre_is_not_converged(theta, freq, phase):
+    # the Gabor's centre lies 4 px left of the 8x8 patch; the fit may
+    # only rest on the edge, and a fit resting there is not converged
+    truth = _params(u0=-4.0, v0=3.5, theta=theta, sigma_x=3.0, sigma_y=2.5,
+                    freq=freq, phase=phase)
+    fit = gabor_fit(render_gabor(truth, 8))
+    assert not fit.converged
+    assert -0.5 <= fit.u0 <= 7.5 and -0.5 <= fit.v0 <= 7.5
+
+
+@pytest.mark.parametrize("theta,freq,phase", list(itertools.product(
+    [0.1, 1.3, 2.5], [0.10, 0.20, 0.35], [0.0, math.pi / 2])))
+def test_centre_near_the_edge_is_recovered(theta, freq, phase):
+    # on the patch but one pixel from its left edge: confinement must not
+    # cost this fit its convergence (criterion 8's tolerances)
+    truth = GaborParams(1.0, 1.0, 6.0, theta, 2.8, 2.2, freq, phase)
+    fit = gabor_fit(render_gabor(truth, 16))
+    assert fit.converged
+    d_theta = abs(fit.theta - theta) % math.pi
+    assert math.degrees(min(d_theta, math.pi - d_theta)) < 5.0
+    assert abs(fit.freq - freq) / freq < 0.10
+    assert abs(fold_phase(fit.phase) - fold_phase(phase)) < 10.0
+    assert fit.residual < 1e-3
+    assert fit.u0 == pytest.approx(1.0, abs=1e-6) and fit.v0 == pytest.approx(6.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("u0", [-0.5, 0.0])
+def test_start_forced_against_the_edge_is_not_converged(u0):
+    # every parameter but the centre starts at the truth, whose centre is
+    # off the patch: the step shrinks against the edge until the step
+    # tolerance bites, which must not count as converged
+    side = 8
+    truth = _params(u0=-4.0, v0=3.5, theta=0.3, sigma_x=3.0, sigma_y=2.5, freq=0.15)
+    image = render_gabor(truth, side)
+    flat = (image - image.mean()).ravel()
+    start = _vector(truth)
+    start[1] = u0
+    q, sse, hit = _refine(start, flat, *_coords(side))
+    assert not hit
+    assert q[1] == pytest.approx(-0.5, abs=1e-6)
+    assert sse > 0.0
+    # the same start converges on a target it can reach on the patch
+    inside = _params(u0=1.0, v0=3.5, theta=0.3, sigma_x=3.0, sigma_y=2.5, freq=0.15)
+    image = render_gabor(inside, side)
+    flat = (image - image.mean()).ravel()
+    q, sse, hit = _refine(start, flat, *_coords(side))
+    assert hit
+    assert q[1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_gabor_fit_input_contracts():
