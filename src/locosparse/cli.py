@@ -1,6 +1,6 @@
 """Command-line surface: train, eval, cluster, render.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error (a bad flag or a ConfigError).
 """
 
 import argparse
@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from .encoder import MOMENTUM_MODES, EncoderConfig, encode
-from .errors import LocosparseError
+from .errors import ConfigError, LocosparseError
 from .gabor import fold_phase, gabor_fit, shape_metrics
 from .graphs import bipartite_laplacian, knn_adjacency, laplacian_from_adjacency
 from .manifest import write_manifest
@@ -129,12 +129,7 @@ def entrypoint(argv=None):
         return args.func(args, command)
     except (LocosparseError, OSError) as exc:
         print(f"locosparse: error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _usage_failure(message):
-    print(f"locosparse: error: {message}", file=sys.stderr)
-    return 2
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def _fmt_float(x):
@@ -247,19 +242,13 @@ def _cmd_eval(args, command):
 def _cmd_cluster(args, command):
     X = load_tensor(args.codes)
     if X.ndim != 2:
-        return _usage_failure("codes tensor must be 2-D")
+        raise ConfigError("codes tensor must be 2-D")
     if args.mode == "bipartite":
         graph = bipartite_laplacian(X)
         sides = ["atom"] * X.shape[0] + ["stimulus"] * X.shape[1]
     else:
-        if args.knn_k >= X.shape[1]:
-            return _usage_failure(
-                f"knn-k {args.knn_k} needs more than {X.shape[1]} stimuli")
         graph = laplacian_from_adjacency(knn_adjacency(X, args.knn_k))
         sides = ["stimulus"] * X.shape[1]
-    if args.k > graph.num_vertices:
-        return _usage_failure(
-            f"k={args.k} exceeds the vertex count {graph.num_vertices}")
     assignment = spectral_cluster(graph, args.k, seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("vertex_id,side,label\n")
@@ -271,7 +260,7 @@ def _cmd_cluster(args, command):
 def _cmd_render(args, command):
     M = load_tensor(args.tensor)
     if M.ndim != 2:
-        return _usage_failure("render expects a 2-D tensor")
+        raise ConfigError("render expects a 2-D tensor")
     svg = render_grid_svg(M, args.cols, args.cell)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

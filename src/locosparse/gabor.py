@@ -3,14 +3,15 @@
 The model is g(u, v) = K exp(-(u'^2 / 2 sigma_x^2 + v'^2 / 2 sigma_y^2))
 * cos(2 pi f u' + phi), with (u', v') the image coordinates rotated by
 theta about the center (u0, v0); u is the column index and v the row
-index. Fitting scores a (theta, f, phi) grid with closed-form amplitude
-as one broadcast (candidate, pixel) tensor, refines the best starts with
-damped Gauss-Newton (Levenberg-Marquardt) confined to the patch, and
-canonicalizes the result into fixed ranges. Each trial is evaluated once,
-and an accepted trial's shared terms (rotated coordinates, envelope,
-phase) give the next Jacobian. A fit is converged when three things hold:
-the step tolerance bites, the relative residual is below 0.5, and the
-centre lies on the patch, [-0.5, side - 0.5]^2.
+index; _evaluate is its one definition. Fitting scores a (theta, f, phi)
+grid with closed-form amplitude in one broadcast _evaluate call, refines
+the best starts with damped Gauss-Newton (Levenberg-Marquardt) kept inside
+the one feasible region of _in_bounds, and canonicalizes the result into
+fixed ranges. Each trial is evaluated once, and an accepted trial's shared
+terms give the next Jacobian. A fit is converged when the step tolerance
+bites with no trial rejected at a bound in the final iteration and the
+relative residual is below 0.5, so a converged fit rests at no bound but
+the frequency floor: a trial below that floor is rejected without marking.
 """
 
 import math
@@ -23,11 +24,9 @@ from .errors import ContractError
 _GRID_THETAS = np.linspace(0.0, np.pi, 12, endpoint=False)
 _GRID_FREQS = np.geomspace(0.05, 0.45, 8)
 _GRID_PHASES = np.linspace(-np.pi, np.pi, 8, endpoint=False)
-# candidates (theta, f, phi), phi fastest; cos/sin per theta from scalar calls as in _evaluate
+# candidates (theta, f, phi), phi fastest
 _GRID = np.stack(np.meshgrid(_GRID_THETAS, _GRID_FREQS, _GRID_PHASES, indexing="ij"),
                  axis=-1).reshape(-1, 3)
-_GRID_COS = np.array([[np.cos(t)] for t in _GRID_THETAS])
-_GRID_SIN = np.array([[np.sin(t)] for t in _GRID_THETAS])
 
 _SIGMA_FLOOR = 0.25
 _FREQ_FLOOR = 1e-3
@@ -102,26 +101,27 @@ def render_gabor(params, side):
     return _evaluate(q, *_coords(side))[0].reshape(side, side)
 
 
-def _plausible(q):
+def _in_bounds(q, side):
+    """Whether q lies in the feasible region: |sigma_x|, |sigma_y| above
+    the sigma floor, |f| strictly between the frequency floor and ceiling,
+    and the centre (u0, v0) on the pixel grid, [-0.5, side - 0.5]^2."""
     sx, sy, f = abs(q[4]), abs(q[5]), abs(q[6])
-    return (all(map(math.isfinite, q)) and sx > _SIGMA_FLOOR and sy > _SIGMA_FLOOR
-            and _FREQ_FLOOR < f < _FREQ_CEIL)
+    return (sx > _SIGMA_FLOOR and sy > _SIGMA_FLOOR and _FREQ_FLOOR < f < _FREQ_CEIL
+            and -0.5 <= q[1] <= side - 0.5 and -0.5 <= q[2] <= side - 0.5)
 
 
 def _coarse_grid(flat, u, v, u0, v0, sigma0):
     """(sse, amp) of every grid candidate, and the _NUM_STARTS best start vectors.
 
-    Rows follow _evaluate's elementwise steps, and a stacked 1 x n @ n x 1
-    matmul sums in the same order as a 1-D @, so each score is bit-identical
-    to scoring its candidate alone.
+    One _evaluate call renders every candidate at unit amplitude, its
+    (theta, f, phi) axes broadcast against the pixels. A stacked
+    1 x n @ n x 1 matmul sums in the same order as a 1-D @, so each score
+    is bit-identical to scoring its candidate alone.
     """
     n = flat.size
-    du, dv = u - u0, v - v0
-    up = du * _GRID_COS + dv * _GRID_SIN
-    vp = -du * _GRID_SIN + dv * _GRID_COS
-    env = np.exp(-(up * up / (2.0 * sigma0 * sigma0) + vp * vp / (2.0 * sigma0 * sigma0)))
-    arg = (2.0 * np.pi * _GRID_FREQS)[:, None, None] * up[:, None, None, :] + _GRID_PHASES[:, None]
-    shapes = (env[:, None, None, :] * np.cos(arg)).reshape(-1, n)
+    q = (1.0, u0, v0, _GRID_THETAS[:, None, None, None], sigma0, sigma0,
+         _GRID_FREQS[:, None, None], _GRID_PHASES[:, None])
+    shapes = _evaluate(q, u, v)[0].reshape(-1, n)
     # the fit quotients out DC: compare in the target's zero-mean subspace
     shapes -= shapes.sum(axis=1, keepdims=True) / n
     rows = shapes[:, None, :]
@@ -135,18 +135,17 @@ def _coarse_grid(flat, u, v, u0, v0, sigma0):
     return sse, amp, starts
 
 
-def _on_patch(q, side):
-    """Whether the centre (u0, v0) lies on the pixel grid, [-0.5, side - 0.5]^2."""
-    return -0.5 <= q[1] <= side - 0.5 and -0.5 <= q[2] <= side - 0.5
-
-
 def _refine(q, flat, u, v):
-    """Damped Gauss-Newton confined to the patch; returns (params, sse, step_tol_met).
+    """Damped Gauss-Newton inside the feasible region; returns (params, sse, step_tol_met).
 
-    A trial whose centre leaves the patch is rejected like an implausible
-    one, so the returned centre is on the patch. step_tol_met is False when
-    the final iteration rejected such a trial: that start rests against
-    the edge, not at an interior optimum.
+    A failed solve or a non-finite trial only raises the damping. A
+    finite trial outside _in_bounds raises it too, so the returned
+    parameters stay in the region, and unless its |f| is at or below the
+    frequency floor it marks the iteration as at a bound. step_tol_met is
+    False when the final iteration was at a bound: that start rests
+    against a bound, not at an interior optimum. A trial below the floor
+    does not mark, so a fit can still converge resting there, in the
+    f -> 0 limit where the carrier is flat on the patch.
     """
     n = flat.size
     side = math.isqrt(n)
@@ -161,7 +160,7 @@ def _refine(q, flat, u, v):
         J -= J.sum(axis=0) / n
         g = J.T @ resid
         H = J.T @ J
-        at_edge = False
+        at_bound = False
         for _ in range(50):
             try:
                 delta = np.linalg.solve(H + mu * eye, -g)
@@ -170,11 +169,9 @@ def _refine(q, flat, u, v):
                 continue
             trial = q + delta
             trial_q = trial.tolist()
-            if not _plausible(trial_q):
-                mu *= 10.0
-                continue
-            if not _on_patch(trial_q, side):
-                at_edge = True
+            finite = all(map(math.isfinite, trial_q))
+            if not (finite and _in_bounds(trial_q, side)):
+                at_bound |= finite and abs(trial_q[6]) > _FREQ_FLOOR
                 mu *= 10.0
                 continue
             image, trial_jacobian = _evaluate(trial_q, u, v)
@@ -188,7 +185,7 @@ def _refine(q, flat, u, v):
         else:  # no acceptable step in 50 tries
             break
         if math.sqrt(delta @ delta) <= _STEP_TOL * (1.0 + math.sqrt(q @ q)):
-            hit = not at_edge
+            hit = not at_bound
             break
     return q, sse, hit
 
@@ -235,12 +232,13 @@ def gabor_fit(image):
     """Least-squares Gabor fit to a square receptive-field image.
 
     The field is mean-subtracted first (the model carries no DC term).
-    converged requires three things: the step tolerance bites (with no
-    trial pushed back at the patch edge in the final iteration), the
-    relative residual is under 0.5, and the centre lies on the patch,
-    which refinement never leaves. A field with no oscillatory structure
-    at all, zero or constant, comes back as the unfit record: centred,
-    unconverged, residual 1.
+    converged requires two things: the step tolerance bites with no trial
+    rejected at a bound of _in_bounds in the final iteration, and the
+    relative residual is under 0.5. Refinement never leaves the feasible
+    region, so every fit lies in it, and a converged one rests at no
+    bound but, possibly, the frequency floor (see _refine). A field with no oscillatory structure at all, zero or
+    constant, comes back as the unfit record: centred, unconverged,
+    residual 1.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:

@@ -40,34 +40,3 @@ def write_manifest(path, command, config, inputs, outputs, duration_seconds):
     except OSError as exc:
         raise StorageError(f"cannot write manifest to {path}: {exc}") from exc
 
-
-def read_manifest(path):
-    """Parse a manifest back into (command, config, inputs, outputs, duration).
-
-    inputs come back as (path, digest) pairs so callers can re-verify
-    them against the files on disk.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise StorageError(f"cannot read manifest from {path}: {exc}") from exc
-    command = None
-    config = {}
-    inputs = []
-    outputs = []
-    duration = None
-    for line in lines:
-        key, _, value = line.partition("=")
-        if key == "command":
-            command = value
-        elif key.startswith("config."):
-            config[key[len("config."):]] = value
-        elif key == "input":
-            file_path, _, digest = value.rpartition(" fnv1a64=")
-            inputs.append((file_path, int(digest, 16)))
-        elif key == "output":
-            outputs.append(value)
-        elif key == "duration_seconds":
-            duration = float(value)
-    return command, config, inputs, outputs, duration

@@ -95,7 +95,7 @@ def spectral_cluster(G, k, seed=0):
         G = GraphLaplacian(np.asarray(G, dtype=np.float64))
     p = G.num_vertices
     if k < 1 or k > p:
-        raise ConfigError(f"cluster count must satisfy 1 <= k <= {p}, got {k}")
+        raise ConfigError(f"cluster count k={k} is below 1 or exceeds the vertex count {p}")
     if k == 1:
         return ClusterAssignment(np.zeros(p, dtype=np.int64), 1)
     _, vectors = symmetric_eigendecomposition(G.matrix)

@@ -37,10 +37,6 @@ class Dictionary:
         if not np.all(np.isfinite(self.atoms)):
             raise ValidationError("dictionary contains non-finite entries")
 
-    @property
-    def num_atoms(self):
-        return self.atoms.shape[1]
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -17,7 +17,8 @@ import pytest
 
 from locosparse.cli import entrypoint
 from locosparse.encoder import EncoderConfig, encode, momentum_schedule
-from locosparse.gabor import GaborParams, fold_phase, gabor_fit, render_gabor
+from locosparse.gabor import (_FREQ_CEIL, _FREQ_FLOOR, _SIGMA_FLOOR, GaborParams, fold_phase,
+                              gabor_fit, render_gabor)
 from locosparse.graphs import (bipartite_laplacian, knn_adjacency,
                                laplacian_from_adjacency)
 from locosparse.penalties import PenaltyConfig
@@ -319,17 +320,25 @@ def test_criterion_09_locality_penalty_restores_even_symmetric_fields(contrast_r
 
 
 def test_converged_gate_atom_fits_lie_on_the_patch(contrast_run, capsys):
-    with _verdict(capsys, "gate atom fits, every converged centre on the 8x8 patch") as info:
+    # a converged fit lies inside every bound of the fitter's feasible
+    # region: centre on the patch, sigma floor, frequency floor and ceiling
+    side = int(_TRAIN_FLAGS[_TRAIN_FLAGS.index("--patch-size") + 1])
+
+    def outside_the_region(row):
+        return not (all(-0.5 <= float(row[key]) <= side - 0.5 for key in ("u0", "v0"))
+                    and all(float(row[key]) > _SIGMA_FLOOR for key in ("sigma_x", "sigma_y"))
+                    and _FREQ_FLOOR < float(row["freq"]) < _FREQ_CEIL)
+
+    with _verdict(capsys, "gate atom fits, every converged fit inside every bound") as info:
         root, _ = contrast_run
         counts = []
         for name in ("wl_eval.gabor.csv", "sc_eval.gabor.csv"):
             with open(root / name, newline="", encoding="utf-8") as fh:
                 rows = [row for row in csv.DictReader(fh) if row["converged"] == "true"]
-            off = [row["neuron_id"] for row in rows
-                   if not all(-0.5 <= float(row[key]) <= 7.5 for key in ("u0", "v0"))]
-            assert not off, (name, off)
+            outside = [row["neuron_id"] for row in rows if outside_the_region(row)]
+            assert not outside, (name, outside)
             counts.append(len(rows))
-        info["detail"] = f"wl {counts[0]}, l1 {counts[1]} converged fits, all on the patch"
+        info["detail"] = f"wl {counts[0]}, l1 {counts[1]} converged fits, all inside every bound"
 
 
 def test_criterion_10_pipeline_is_bit_reproducible(contrast_run, tmp_path, capsys):

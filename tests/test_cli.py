@@ -262,6 +262,21 @@ def test_cluster_k_exceeding_vertices_returns_2(workspace, capsys):
     assert not out.exists()
 
 
+def test_train_config_conflicts_exit_2_and_write_nothing(tmp_path, capsys):
+    # each flag is valid alone; together with the data they cannot run
+    data = tmp_path / "small.sct"
+    save_tensor(dead_leaves_image(side=16, num_discs=10, seed=2), str(data))
+    for flags in (["--penalty", "l1", "--patch-size", "20"],
+                  ["--penalty", "lap", "--patch-size", "4", "--batch-size", "3",
+                   "--knn-k", "4"]):
+        out = tmp_path / "conflict"
+        code = entrypoint(["train", "--data", str(data), "--out", str(out),
+                           "--epochs", "2", *flags])
+        assert code == 2, flags
+        assert "locosparse: error:" in capsys.readouterr().err
+        assert list(tmp_path.glob("conflict*")) == [], flags
+
+
 def test_cluster_rejects_non_2d_codes(workspace):
     vec = workspace / "vector.sct"
     save_tensor(np.arange(5.0), str(vec))

@@ -11,8 +11,8 @@ from locosparse.errors import ContractError
 from locosparse.gabor import (GaborParams, canonical_vector, fold_phase,
                               gabor_fit, render_gabor, shape_metrics)
 from locosparse.gabor import (_GRID_FREQS, _GRID_PHASES, _GRID_THETAS, _NUM_STARTS,
-                              _coarse_grid, _coords, _evaluate, _refine, _unfit_params,
-                              _vector)
+                              _SIGMA_FLOOR, _coarse_grid, _coords, _evaluate, _refine,
+                              _unfit_params, _vector)
 from locosparse.rfeval import sta_receptive_fields
 
 from oracles import fd_gradient, gabor_grid_loop
@@ -224,6 +224,33 @@ def test_start_forced_against_the_edge_is_not_converged(u0):
     q, sse, hit = _refine(start, flat, *_coords(side))
     assert hit
     assert q[1] == pytest.approx(1.0, abs=1e-6)
+
+
+def _thin_gabor():
+    # sigma_x = 0.2 is below the sigma floor: the least-squares fit wants
+    # an envelope thinner than the fitter allows
+    truth = _params(u0=3.6, v0=3.3, theta=0.4, sigma_x=0.2, sigma_y=1.5,
+                    freq=0.2, phase=0.3)
+    return truth, render_gabor(truth, 8)
+
+
+def test_start_forced_against_the_sigma_floor_is_not_converged():
+    # every parameter but sigma_x starts at the truth: the step shrinks
+    # against the sigma floor until the step tolerance bites, which must
+    # not count
+    truth, image = _thin_gabor()
+    start = _vector(truth)
+    start[4] = 0.3
+    q, _, hit = _refine(start, (image - image.mean()).ravel(), *_coords(8))
+    assert not hit
+    assert _SIGMA_FLOOR < abs(q[4]) < 1.001 * _SIGMA_FLOOR
+
+
+def test_fit_at_the_sigma_floor_is_not_converged():
+    fit = gabor_fit(_thin_gabor()[1])
+    assert not fit.converged
+    assert fit.residual < 0.5  # a good fit, but one resting at the sigma floor
+    assert fit.sigma_x == pytest.approx(_SIGMA_FLOOR, rel=1e-3)
 
 
 def test_gabor_fit_input_contracts():

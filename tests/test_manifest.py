@@ -1,10 +1,10 @@
-"""Run-manifest hashing and round-trip behavior."""
+"""Run-manifest hashing and the lines a manifest records."""
 
 import numpy as np
 import pytest
 
 from locosparse.errors import StorageError
-from locosparse.manifest import digest_file, fnv1a64, read_manifest, write_manifest
+from locosparse.manifest import digest_file, fnv1a64, write_manifest
 
 # published FNV-1a 64-bit reference vectors
 _KNOWN = [
@@ -51,16 +51,21 @@ def test_digest_file_missing_raises_storage_error(tmp_path):
 def test_manifest_roundtrip(tmp_path):
     data = tmp_path / "input.sct"
     data.write_bytes(b"\x01\x02\x03")
+    digest = fnv1a64(b"\x01\x02\x03")
     manifest = tmp_path / "run.manifest.txt"
     config = {"penalty": "wl", "lambda": "0.5", "seed": 7}
     write_manifest(str(manifest), "locosparse train --data input.sct",
                    config, [str(data)], ["out.sct", "out.meta"], 1.23456)
-    command, cfg, inputs, outputs, duration = read_manifest(str(manifest))
-    assert command == "locosparse train --data input.sct"
-    assert cfg == {"penalty": "wl", "lambda": "0.5", "seed": "7"}
-    assert inputs == [(str(data), fnv1a64(b"\x01\x02\x03"))]
-    assert outputs == ["out.sct", "out.meta"]
-    assert duration == pytest.approx(1.235, abs=5e-4)
+    assert manifest.read_text(encoding="utf-8").splitlines() == [
+        "command=locosparse train --data input.sct",
+        "config.lambda=0.5",
+        "config.penalty=wl",
+        "config.seed=7",
+        f"input={data} fnv1a64={digest:016x}",
+        "output=out.sct",
+        "output=out.meta",
+        "duration_seconds=1.235",
+    ]
 
 
 def test_manifest_config_keys_are_sorted(tmp_path):
@@ -73,20 +78,29 @@ def test_manifest_config_keys_are_sorted(tmp_path):
     assert keys == ["config.alpha=2", "config.zeta=1"]
 
 
+def _recorded_input(manifest):
+    """(path, digest) of the one input line of a manifest."""
+    lines = [ln for ln in manifest.read_text(encoding="utf-8").splitlines()
+             if ln.startswith("input=")]
+    assert len(lines) == 1
+    path, _, digest = lines[0][len("input="):].rpartition(" fnv1a64=")
+    return path, int(digest, 16)
+
+
 def test_manifest_digest_tracks_input_changes(tmp_path):
     data = tmp_path / "input.bin"
     data.write_bytes(b"before")
     m1 = tmp_path / "m1.txt"
     write_manifest(str(m1), "cmd", {}, [str(data)], [], 0.0)
-    _, _, inputs1, _, _ = read_manifest(str(m1))
+    path1, digest1 = _recorded_input(m1)
     data.write_bytes(b"after!")
     m2 = tmp_path / "m2.txt"
     write_manifest(str(m2), "cmd", {}, [str(data)], [], 0.0)
-    _, _, inputs2, _, _ = read_manifest(str(m2))
-    assert inputs1[0][0] == inputs2[0][0]
-    assert inputs1[0][1] != inputs2[0][1]
+    path2, digest2 = _recorded_input(m2)
+    assert path1 == path2 == str(data)
+    assert digest1 != digest2
     # and the recorded digest can be re-verified against the file
-    assert inputs2[0][1] == digest_file(str(data))
+    assert digest2 == digest_file(str(data))
 
 
 def test_manifest_input_path_with_spaces(tmp_path):
@@ -94,15 +108,10 @@ def test_manifest_input_path_with_spaces(tmp_path):
     data.write_bytes(b"abc")
     manifest = tmp_path / "m.txt"
     write_manifest(str(manifest), "cmd", {}, [str(data)], [], 0.5)
-    _, _, inputs, _, _ = read_manifest(str(manifest))
-    assert inputs == [(str(data), fnv1a64(b"abc"))]
+    assert _recorded_input(manifest) == (str(data), fnv1a64(b"abc"))
 
 
 def test_write_manifest_unwritable_raises_storage_error(tmp_path):
     with pytest.raises(StorageError):
         write_manifest(str(tmp_path / "no_dir" / "m.txt"), "cmd", {}, [], [], 0.0)
 
-
-def test_read_manifest_missing_raises_storage_error(tmp_path):
-    with pytest.raises(StorageError):
-        read_manifest(str(tmp_path / "absent.txt"))

@@ -1,5 +1,7 @@
 """Dictionary learning loop: updates, redraws, persistence, determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ def test_train_zero_epochs_returns_initial_dictionary(small_image):
 def test_train_all_penalties_run(small_image):
     for kind in ("l1", "wl", "lap"):
         model = train(small_image, _small_cfg(kind=kind, epochs=3))
-        assert model.dictionary.num_atoms == 6
+        assert model.dictionary.atoms.shape == (16, 6)
 
 
 def test_inactive_atoms_are_reinitialized(small_image):
@@ -161,7 +163,7 @@ def test_meta_file_key_order_is_stable(tmp_path, small_image):
     prefix = str(tmp_path / "model")
     save_model(model, prefix)
     keys = [line.split("=")[0] for line in
-            open(f"{prefix}.meta", encoding="utf-8").read().splitlines()]
+            Path(f"{prefix}.meta").read_text(encoding="utf-8").splitlines()]
     assert keys == ["penalty", "lambda", "patch_side", "steps", "momentum_mode",
                     "seed", "epochs", "batch_size", "knn_k"]
 
@@ -175,10 +177,11 @@ def test_load_model_rejects_missing_keys(tmp_path, small_image):
     model = train(small_image, _small_cfg(epochs=1))
     prefix = str(tmp_path / "model")
     save_model(model, prefix)
-    meta_path = f"{prefix}.meta"
-    lines = open(meta_path, encoding="utf-8").read().splitlines()
-    open(meta_path, "w", encoding="utf-8").write(
-        "\n".join(ln for ln in lines if not ln.startswith("penalty=")) + "\n")
+    meta_path = Path(f"{prefix}.meta")
+    lines = meta_path.read_text(encoding="utf-8").splitlines()
+    meta_path.write_text(
+        "\n".join(ln for ln in lines if not ln.startswith("penalty=")) + "\n",
+        encoding="utf-8")
     with pytest.raises(FormatError):
         load_model(prefix)
 
@@ -187,9 +190,9 @@ def test_load_model_rejects_bad_numeric(tmp_path, small_image):
     model = train(small_image, _small_cfg(epochs=1))
     prefix = str(tmp_path / "model")
     save_model(model, prefix)
-    meta_path = f"{prefix}.meta"
-    text = open(meta_path, encoding="utf-8").read().replace("epochs=1", "epochs=one")
-    open(meta_path, "w", encoding="utf-8").write(text)
+    meta_path = Path(f"{prefix}.meta")
+    text = meta_path.read_text(encoding="utf-8").replace("epochs=1", "epochs=one")
+    meta_path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError):
         load_model(prefix)
 
@@ -198,10 +201,9 @@ def test_load_model_rejects_inconsistent_shape(tmp_path, small_image):
     model = train(small_image, _small_cfg(epochs=1))
     prefix = str(tmp_path / "model")
     save_model(model, prefix)
-    meta_path = f"{prefix}.meta"
-    text = open(meta_path, encoding="utf-8").read().replace("patch_side=4",
-                                                            "patch_side=5")
-    open(meta_path, "w", encoding="utf-8").write(text)
+    meta_path = Path(f"{prefix}.meta")
+    text = meta_path.read_text(encoding="utf-8").replace("patch_side=4", "patch_side=5")
+    meta_path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError):
         load_model(prefix)
 
