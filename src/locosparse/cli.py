@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .encoder import MOMENTUM_MODES, EncoderConfig, encode
+from .encoder import MOMENTUM_MODES, encode
 from .errors import ConfigError, LocosparseError
 from .gabor import fold_phase, gabor_fit, shape_metrics
 from .graphs import bipartite_laplacian, knn_adjacency, laplacian_from_adjacency
@@ -21,7 +21,7 @@ from .penalties import KINDS, PenaltyConfig
 from .render import render_grid_svg
 from .rfeval import phase_histogram, sta_receptive_fields, symmetry_score
 from .spectral import spectral_cluster
-from .tensor import load_image_stack, load_tensor
+from .tensor import load_image_stack, load_tensor, write_file
 from .trainer import TrainConfig, load_model, save_model, train
 
 
@@ -136,6 +136,10 @@ def _fmt_float(x):
     return repr(float(x))
 
 
+def _write_lines(path, lines):
+    write_file(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
+
+
 def _cmd_train(args, command):
     start = time.time()
     images = load_image_stack(args.data)
@@ -154,10 +158,8 @@ def _cmd_train(args, command):
     model = train(images, cfg)
     save_model(model, args.out)
     loss_path = f"{args.out}.loss.csv"
-    with open(loss_path, "w", encoding="utf-8") as fh:
-        fh.write("batch,loss\n")
-        for i, value in enumerate(model.loss_history):
-            fh.write(f"{i},{_fmt_float(value)}\n")
+    _write_lines(loss_path, ["batch,loss", *(
+        f"{i},{_fmt_float(value)}" for i, value in enumerate(model.loss_history))])
     outputs = [f"{args.out}.sct", f"{args.out}.meta", loss_path,
                f"{args.out}.manifest.txt"]
     config = {
@@ -183,51 +185,41 @@ def _cmd_eval(args, command):
     if args.source == "atoms":
         fields = [atoms[:, j].reshape(side, side) for j in range(atoms.shape[1])]
     else:
-        penalty = PenaltyConfig(meta["penalty"], meta["lambda"], meta["knn_k"])
-        cfg = EncoderConfig(penalty, meta["steps"], meta["momentum_mode"])
-
         def respond(Y):
-            return encode(Y, atoms, cfg)[0]
+            return encode(Y, atoms, meta["encoder"])[0]
 
         fields = sta_receptive_fields(respond, side, args.samples, args.seed)
 
     params = [gabor_fit(image) for image in fields]
     # both histograms raise when no fit converged, so build them before
-    # opening any output: a failing eval writes nothing
+    # writing any output: a failing eval writes nothing
     hist = phase_histogram(params, args.bins)
     # the balance score needs an even split at 45 degrees, so compute it
     # from a two-bin histogram of the same fits
     balance = symmetry_score(phase_histogram(params, 2))
 
+    lines = ["neuron_id,K,u0,v0,theta_rad,sigma_x,sigma_y,freq,phase_rad,"
+             "phase_folded_deg,n_x,n_y,residual,converged"]
+    for j, p in enumerate(params):
+        n_x, n_y = shape_metrics(p) if p.converged else (float("nan"), float("nan"))
+        values = (p.amplitude, p.u0, p.v0, p.theta, p.sigma_x, p.sigma_y, p.freq,
+                  p.phase, fold_phase(p.phase), n_x, n_y, p.residual)
+        lines.append(",".join([str(j), *map(_fmt_float, values),
+                               "true" if p.converged else "false"]))
     gabor_path = f"{args.out}.gabor.csv"
-    with open(gabor_path, "w", encoding="utf-8") as fh:
-        fh.write("neuron_id,K,u0,v0,theta_rad,sigma_x,sigma_y,freq,phase_rad,"
-                 "phase_folded_deg,n_x,n_y,residual,converged\n")
-        for j, p in enumerate(params):
-            n_x, n_y = shape_metrics(p) if p.converged else (float("nan"), float("nan"))
-            row = [str(j), _fmt_float(p.amplitude), _fmt_float(p.u0),
-                   _fmt_float(p.v0), _fmt_float(p.theta), _fmt_float(p.sigma_x),
-                   _fmt_float(p.sigma_y), _fmt_float(p.freq), _fmt_float(p.phase),
-                   _fmt_float(fold_phase(p.phase)), _fmt_float(n_x), _fmt_float(n_y),
-                   _fmt_float(p.residual), "true" if p.converged else "false"]
-            fh.write(",".join(row) + "\n")
+    _write_lines(gabor_path, lines)
 
     phases_path = f"{args.out}.phases.csv"
-    with open(phases_path, "w", encoding="utf-8") as fh:
-        fh.write("bin_lo_deg,bin_hi_deg,count\n")
-        for i in range(hist.counts.size):
-            fh.write(f"{_fmt_float(hist.bin_edges[i])},"
-                     f"{_fmt_float(hist.bin_edges[i + 1])},{int(hist.counts[i])}\n")
+    _write_lines(phases_path, ["bin_lo_deg,bin_hi_deg,count", *(
+        f"{_fmt_float(hist.bin_edges[i])},{_fmt_float(hist.bin_edges[i + 1])},"
+        f"{int(hist.counts[i])}" for i in range(hist.counts.size))])
 
     converged_count = len(params) - hist.excluded
     summary_path = f"{args.out}.summary.txt"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(f"neurons={len(params)}\n")
-        fh.write(f"converged={converged_count}\n")
-        fh.write(f"non_converged={hist.excluded}\n")
-        fh.write(f"symmetry_score={_fmt_float(balance)}\n")
-        fh.write(f"source={args.source}\n")
-        fh.write(f"bins={args.bins}\n")
+    _write_lines(summary_path, [
+        f"neurons={len(params)}", f"converged={converged_count}",
+        f"non_converged={hist.excluded}", f"symmetry_score={_fmt_float(balance)}",
+        f"source={args.source}", f"bins={args.bins}"])
 
     outputs = [gabor_path, phases_path, summary_path, f"{args.out}.manifest.txt"]
     config = {"model": args.model, "samples": args.samples, "source": args.source,
@@ -250,10 +242,9 @@ def _cmd_cluster(args, command):
         graph = laplacian_from_adjacency(knn_adjacency(X, args.knn_k))
         sides = ["stimulus"] * X.shape[1]
     assignment = spectral_cluster(graph, args.k, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("vertex_id,side,label\n")
-        for vid, (side_name, label) in enumerate(zip(sides, assignment.labels)):
-            fh.write(f"{vid},{side_name},{int(label)}\n")
+    _write_lines(args.out, ["vertex_id,side,label", *(
+        f"{vid},{side_name},{int(label)}"
+        for vid, (side_name, label) in enumerate(zip(sides, assignment.labels)))])
     return 0
 
 
@@ -261,7 +252,5 @@ def _cmd_render(args, command):
     M = load_tensor(args.tensor)
     if M.ndim != 2:
         raise ConfigError("render expects a 2-D tensor")
-    svg = render_grid_svg(M, args.cols, args.cell)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    write_file(args.out, render_grid_svg(M, args.cols, args.cell).encode("utf-8"))
     return 0

@@ -1,6 +1,6 @@
 """Run manifests: the invoked command, resolved config, and input digests."""
 
-from .errors import StorageError
+from .tensor import read_file, write_file
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -17,11 +17,7 @@ def fnv1a64(data):
 
 def digest_file(path):
     """fnv1a64 of a file's contents."""
-    try:
-        with open(path, "rb") as fh:
-            return fnv1a64(fh.read())
-    except OSError as exc:
-        raise StorageError(f"cannot digest {path}: {exc}") from exc
+    return fnv1a64(read_file(path))
 
 
 def write_manifest(path, command, config, inputs, outputs, duration_seconds):
@@ -34,9 +30,5 @@ def write_manifest(path, command, config, inputs, outputs, duration_seconds):
     for output_path in outputs:
         lines.append(f"output={output_path}")
     lines.append(f"duration_seconds={duration_seconds:.3f}")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise StorageError(f"cannot write manifest to {path}: {exc}") from exc
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 

@@ -74,16 +74,16 @@ def sample_patches(images, cfg):
     rows = rng.integers(cfg.count, height - side + 1)
     cols = rng.integers(cfg.count, width - side + 1)
 
-    d = side * side
-    out = np.empty((d, cfg.count))
-    for s in range(cfg.count):
-        patch = stack[rows[s]:rows[s] + side, cols[s]:cols[s] + side, frame_idx[s]]
-        col = patch.reshape(d).astype(np.float64, copy=True)
-        if cfg.standardize:
-            if np.all(col == col[0]):
-                col = np.zeros(d)
-            else:
-                col -= col.mean()
-                col /= np.linalg.norm(col)
-        out[:, s] = col
-    return StimulusBatch(out, side)
+    offsets = np.arange(side)
+    P = stack[rows[:, None, None] + offsets[:, None], cols[:, None, None] + offsets,
+              frame_idx[:, None, None]].reshape(cfg.count, side * side)
+    if cfg.standardize:
+        constant = np.all(P == P[:, :1], axis=1)
+        P -= P.mean(axis=1, keepdims=True)
+        # one 1 x d @ d x 1 product per patch rounds as np.linalg.norm of that patch;
+        # np.linalg.norm(P, axis=1) does not
+        norms = np.sqrt((P[:, None, :] @ P[:, :, None]).ravel())
+        P[constant] = 0.0
+        norms[constant] = 1.0
+        P /= norms[:, None]
+    return StimulusBatch(np.ascontiguousarray(P.T), side)

@@ -17,16 +17,13 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _U11 = np.uint64(11)
-_U27 = np.uint64(27)
-_U30 = np.uint64(30)
-_U31 = np.uint64(31)
 _U32 = np.uint64(32)
 _INV53 = 2.0 ** -53
 
 
 def mix64(z):
-    """Scramble a 64-bit integer (splitmix-style finalizer)."""
-    z &= _MASK
+    """Scramble a 64-bit integer or a uint64 array (splitmix-style finalizer)."""
+    z = z & _MASK
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
     return z ^ (z >> 31)
@@ -68,10 +65,7 @@ class CounterRng:
     def _words(self, n):
         ks = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
         self._pos += n
-        z = self._base + ks * self._golden
-        z = (z ^ (z >> _U30)) * np.uint64(_MIX_A)
-        z = (z ^ (z >> _U27)) * np.uint64(_MIX_B)
-        return z ^ (z >> _U31)
+        return mix64(self._base + ks * self._golden)
 
     def uniforms(self, n):
         """n doubles uniform on [0, 1)."""

@@ -3,6 +3,10 @@
 The on-disk layout (magic `SCT1`) is: four magic bytes, one unsigned
 rank byte, `rank` little-endian uint64 extents, then the payload as
 little-endian float64 in row-major order. Round trips are bit exact.
+
+`read_file` and `write_file` are the package's only file access: every
+other module reads and writes through them, so a failed access always
+raises StorageError naming the path.
 """
 
 import math
@@ -27,26 +31,38 @@ def as_tensor(data):
     return arr
 
 
+def read_file(path):
+    """The bytes of a file: the package's one way to read one."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise StorageError(f"cannot read {path}: {exc}") from exc
+
+
+def write_file(path, data):
+    """Write bytes to a file: the package's one way to write one."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from exc
+
+
 def save_tensor(t, path):
     """Write a tensor in the SCT1 layout."""
     arr = as_tensor(t)
     header = _MAGIC + struct.pack("<B", arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(arr.astype("<f8", copy=False).tobytes())
-    except OSError as exc:
-        raise StorageError(f"cannot write tensor to {path}: {exc}") from exc
+    write_file(path, header + arr.astype("<f8", copy=False).tobytes())
 
 
 def load_tensor(path):
     """Read a tensor written by save_tensor; the exact inverse."""
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as exc:
-        raise StorageError(f"cannot read tensor from {path}: {exc}") from exc
+    return _parse_sct(read_file(path), path)
+
+
+def _parse_sct(buf, path):
     if len(buf) < 5 or buf[:4] != _MAGIC:
         raise FormatError(f"{path}: not an SCT1 tensor (bad magic)")
     rank = buf[4]
@@ -70,11 +86,10 @@ def load_tensor(path):
 
 def read_pgm(path):
     """Read an 8-bit binary PGM (P5) image, scaled to [0, 1]."""
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as exc:
-        raise StorageError(f"cannot read image from {path}: {exc}") from exc
+    return _parse_pgm(read_file(path), path)
+
+
+def _parse_pgm(buf, path):
     pos = 0
 
     def token():
@@ -114,11 +129,5 @@ def read_pgm(path):
 
 def load_image_stack(path):
     """Load grayscale image data from SCT or PGM, sniffing the magic bytes."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(2)
-    except OSError as exc:
-        raise StorageError(f"cannot read image from {path}: {exc}") from exc
-    if head == b"P5":
-        return read_pgm(path)
-    return load_tensor(path)
+    buf = read_file(path)
+    return (_parse_pgm if buf[:2] == b"P5" else _parse_sct)(buf, path)

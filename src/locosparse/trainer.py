@@ -13,11 +13,11 @@ import numpy as np
 
 from .encoder import EncoderConfig, encode
 from .errors import (ConfigError, ContractError, DivergenceError, FormatError,
-                     StorageError, ValidationError)
+                     ValidationError)
 from .patches import MIN_PATCH_SIDE, PatchSamplerConfig, sample_patches
 from .penalties import PenaltyConfig
 from .rng import CounterRng, derive_seed
-from .tensor import load_tensor, save_tensor
+from .tensor import load_tensor, read_file, save_tensor, write_file
 
 _DEAD_NORM = 1e-12
 
@@ -166,25 +166,24 @@ def save_model(model, prefix):
         "batch_size": str(cfg.batch_size),
         "knn_k": str(cfg.penalty.knn_k),
     }
-    try:
-        with open(f"{prefix}.meta", "w", encoding="utf-8") as fh:
-            for key in _META_KEYS:
-                fh.write(f"{key}={values[key]}\n")
-    except OSError as exc:
-        raise StorageError(f"cannot write metadata to {prefix}.meta: {exc}") from exc
+    text = "".join(f"{key}={values[key]}\n" for key in _META_KEYS)
+    write_file(f"{prefix}.meta", text.encode("utf-8"))
 
 
 def load_model(prefix):
-    """Read back (Dictionary, meta dict) as written by save_model."""
+    """Read back (Dictionary, meta dict) as written by save_model.
+
+    Besides the parsed values, meta["encoder"] holds the EncoderConfig
+    they describe; a value no config accepts makes the file corrupt.
+    """
     atoms = load_tensor(f"{prefix}.sct")
     path = f"{prefix}.meta"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise StorageError(f"cannot read metadata from {path}: {exc}") from exc
+        text = read_file(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     meta = {}
-    for line in lines:
+    for line in text.splitlines():
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
@@ -200,6 +199,12 @@ def load_model(prefix):
             meta[key] = int(meta[key])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed numeric value: {exc}") from exc
+    try:
+        meta["encoder"] = EncoderConfig(
+            PenaltyConfig(meta["penalty"], meta["lambda"], meta["knn_k"]),
+            meta["steps"], meta["momentum_mode"])
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if atoms.ndim != 2 or atoms.shape[0] != meta["patch_side"] ** 2:
         raise FormatError(
             f"{prefix}.sct holds {atoms.shape}, inconsistent with "

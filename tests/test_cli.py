@@ -87,9 +87,10 @@ def test_eval_from_atoms(workspace, capsys):
     assert "fitted" in captured.out
 
 
-def test_eval_from_sta_responses(workspace):
-    # a dictionary of clean oriented filters gives STA fields the fitter
-    # can actually converge on
+@pytest.fixture(scope="module")
+def gabor_model(workspace):
+    # a dictionary of clean oriented filters: the fitter converges on the
+    # atoms and on their STA fields
     side = 8
     specs = [(0.3, 0.25, 0.0), (1.2, 0.30, np.pi / 2),
              (2.0, 0.20, 0.3), (0.9, 0.35, -np.pi / 2)]
@@ -105,9 +106,12 @@ def test_eval_from_sta_responses(workspace):
     model = TrainedModel(Dictionary(atoms, side), cfg, np.zeros(0))
     prefix = workspace / "gabor_model"
     save_model(model, str(prefix))
+    return prefix
 
+
+def test_eval_from_sta_responses(workspace, gabor_model):
     out = workspace / "sta"
-    code = entrypoint(["eval", "--model", str(prefix),
+    code = entrypoint(["eval", "--model", str(gabor_model),
                        "--source", "sta", "--samples", "5000",
                        "--seed", "1", "--out", str(out)])
     assert code == 0
@@ -311,3 +315,49 @@ def test_missing_model_returns_1(workspace):
     code = entrypoint(["eval", "--model", str(workspace / "ghost"),
                        "--out", str(workspace / "g")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "cluster", "render"])
+def test_failed_write_exits_1_and_names_the_path(workspace, gabor_model, tmp_path,
+                                                 capsys, command):
+    out = tmp_path / "nodir" / "out"
+    args = {"train": ["--data", str(workspace / "image.sct"), *TRAIN_ARGS],
+            "eval": ["--model", str(gabor_model), "--source", "atoms"],
+            "cluster": ["--codes", str(workspace / "model.sct"), "--k", "2",
+                        "--mode", "stimuli", "--knn-k", "2"],
+            "render": ["--tensor", str(workspace / "model.sct")]}[command]
+    assert entrypoint([command, *args, "--out", str(out)]) == 1
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _copy_model(source, prefix, meta_bytes):
+    prefix.with_suffix(".sct").write_bytes(source.with_suffix(".sct").read_bytes())
+    prefix.with_suffix(".meta").write_bytes(meta_bytes)
+
+
+@pytest.mark.parametrize("source", ["sta", "atoms"])
+def test_non_utf8_meta_exits_1_without_traceback(gabor_model, tmp_path, capsys, source):
+    meta = gabor_model.with_suffix(".meta").read_bytes()
+    _copy_model(gabor_model, tmp_path / "m", meta.replace(b"penalty=wl", b"penalty=w\xff"))
+    code = entrypoint(["eval", "--model", str(tmp_path / "m"), "--source", source,
+                       "--samples", "200", "--out", str(tmp_path / "e")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "locosparse: error:" in err and "Traceback" not in err
+    assert list(tmp_path.glob("e.*")) == []
+
+
+@pytest.mark.parametrize("source", ["sta", "atoms"])
+@pytest.mark.parametrize("key, bad", [("penalty", "l7"), ("steps", "0"),
+                                      ("lambda", "nan"), ("momentum_mode", "turbo")])
+def test_corrupt_meta_value_exits_1_and_writes_nothing(gabor_model, tmp_path, capsys,
+                                                       source, key, bad):
+    lines = gabor_model.with_suffix(".meta").read_text(encoding="utf-8").splitlines()
+    lines = [f"{key}={bad}" if line.startswith(f"{key}=") else line for line in lines]
+    _copy_model(gabor_model, tmp_path / "m", "\n".join(lines).encode("utf-8"))
+    code = entrypoint(["eval", "--model", str(tmp_path / "m"), "--source", source,
+                       "--samples", "200", "--out", str(tmp_path / "e")])
+    assert code == 1
+    assert f"{tmp_path / 'm'}.meta: " in capsys.readouterr().err
+    assert list(tmp_path.glob("e.*")) == []

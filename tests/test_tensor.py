@@ -1,12 +1,17 @@
+import ast
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import locosparse
+from locosparse import tensor
 from locosparse.errors import FormatError, StorageError, ValidationError
 from locosparse.rng import CounterRng
 from locosparse.tensor import (as_tensor, load_image_stack, load_tensor,
-                               read_pgm, save_tensor)
+                               read_pgm, save_tensor, write_file)
 
 
 def test_as_tensor_promotes_lists():
@@ -193,3 +198,42 @@ def test_load_image_stack_sniffs_both_formats(tmp_path):
 def test_load_image_stack_missing_file(tmp_path):
     with pytest.raises(StorageError):
         load_image_stack(tmp_path / "nope.bin")
+
+
+def test_load_image_stack_reads_its_file_once(tmp_path, monkeypatch):
+    reads = []
+    real_read = tensor.read_file
+
+    def counting_read(path):
+        reads.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(tensor, "read_file", counting_read)
+    pgm = tmp_path / "img.pgm"
+    pgm.write_bytes(_pgm_bytes(2, 2, 255, bytes([0, 255, 128, 64])))
+    sct = tmp_path / "img.sct"
+    save_tensor(np.arange(6.0).reshape(2, 3), sct)
+    load_image_stack(pgm)
+    load_image_stack(sct)
+    assert reads == [pgm, sct]
+
+
+def test_failed_access_names_the_path(tmp_path):
+    absent = tmp_path / "nodir" / "x.sct"
+    with pytest.raises(StorageError, match=re.escape(f"cannot read {absent}: ")):
+        load_tensor(absent)
+    with pytest.raises(StorageError, match=re.escape(f"cannot write {absent}: ")):
+        write_file(absent, b"")
+
+
+def test_only_tensor_calls_open():
+    # read_file and write_file are the package's one file access
+    callers = set()
+    for source in Path(locosparse.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name == "open":
+                    callers.add(source.name)
+    assert callers == {"tensor.py"}
