@@ -1,18 +1,55 @@
 """Run manifests: the invoked command, resolved config, and input digests."""
 
+import numpy as np
+
 from .tensor import read_file, write_file
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK = (1 << 64) - 1
+_BLOCK = 1 << 16  # bytes hashed per numpy pass; bounds the scratch arrays
 
 
 def fnv1a64(data):
-    """64-bit FNV-1a hash of a byte string."""
+    """64-bit FNV-1a hash of a bytes-like object, one block at a time.
+
+    Xoring a byte b into the state h changes only its low byte l, so it
+    adds e = (l ^ b) - l. Over a block of m bytes h therefore becomes
+    P**m * h + sum_j P**(m - j) * e_j (mod 2**64), one wrapping uint64
+    dot product; `_low_bytes` supplies the l each e needs.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
     h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK
+    # P**n, ..., P**2, P**1 for n = min(size, _BLOCK); a block of m bytes uses the last m
+    powers = np.multiply.accumulate(
+        np.full(min(buf.size, _BLOCK), _FNV_PRIME, dtype=np.uint64))[::-1]
+    for start in range(0, buf.size, _BLOCK):
+        block = buf[start:start + _BLOCK]
+        low = _low_bytes(h & 0xFF, block)
+        e = (low ^ block).astype(np.uint64)
+        e -= low
+        weights = powers[powers.size - block.size:]
+        h = (int(weights[0]) * h + int(np.dot(e, weights))) & _MASK
     return h
+
+
+def _low_bytes(low0, block):
+    """Low byte of the FNV-1a state before each byte of block.
+
+    The low byte steps as l' = ((l ^ b) * P) mod 256. For an odd P, bit
+    k of x * P is bit k of x xored with bit k of (x mod 2**k) * P, so
+    once the bits below k are known, bit k over the whole block is a
+    prefix xor: eight passes, lowest bit first.
+    """
+    low_prime = _FNV_PRIME & 0xFF
+    low = np.zeros(block.size + 1, dtype=np.uint8)  # before byte j: low[j]; after it: low[j + 1]
+    low[0] = low0
+    for k in range(8):
+        bit = 1 << k
+        known = (low[:-1] ^ block) & (bit - 1)
+        flips = (block ^ (known * low_prime)) & bit
+        low[1:] |= np.bitwise_xor.accumulate(flips) ^ (low0 & bit)
+    return low[:-1]
 
 
 def digest_file(path):

@@ -112,10 +112,13 @@ def dictionary_step(A, Y, X, penalty, lr, rng):
     alive = norms >= _DEAD_NORM
     out[:, alive] /= norms[alive]
     unused = alive & (np.abs(X).sum(axis=1) == 0.0)
-    for j in (*np.flatnonzero(~alive), *np.flatnonzero(unused)):
-        col = rng.normals(out.shape[0])
-        out[:, j] = col / np.linalg.norm(col)
-    return out, np.flatnonzero(~alive | unused).tolist()
+    redraw = np.concatenate((np.flatnonzero(~alive), np.flatnonzero(unused)))
+    if redraw.size:
+        # one draw for all columns matches one draw per column, in this order;
+        # each 1 x d @ d x 1 product rounds as np.linalg.norm of that draw
+        C = rng.normals(out.shape[0] * redraw.size).reshape(redraw.size, out.shape[0])
+        out[:, redraw] = (C / np.sqrt((C[:, None, :] @ C[:, :, None]).ravel())[:, None]).T
+    return out, np.sort(redraw).tolist()
 
 
 def train(images, cfg):

@@ -5,7 +5,7 @@ strategy than the library code it validates: support enumeration instead
 of sort-and-threshold, finite differences instead of analytic gradients,
 classical largest-pivot Jacobi instead of cyclic sweeps, breadth-first
 search instead of spectral structure, one candidate at a time instead of
-a broadcast tensor.
+a broadcast tensor, one byte at a time instead of numpy blocks.
 """
 
 import itertools
@@ -152,3 +152,11 @@ def gabor_grid_loop(flat, side, u0, v0, sigma0, thetas, freqs, phases, num_start
     starts = [np.array([amp, u0, v0, theta, sigma0, sigma0, f, phi])
               for _, amp, theta, f, phi in candidates[:num_starts]]
     return scores, starts
+
+
+def fnv1a64_bytewise(data):
+    """64-bit FNV-1a over Python ints, one xor and one multiply per byte."""
+    h = 0xCBF29CE484222325
+    for byte in bytes(data):
+        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h

@@ -1,10 +1,14 @@
 """Run-manifest hashing and the lines a manifest records."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from locosparse.errors import StorageError
-from locosparse.manifest import digest_file, fnv1a64, write_manifest
+from locosparse.manifest import _BLOCK, digest_file, fnv1a64, write_manifest
+
+from oracles import fnv1a64_bytewise
 
 # published FNV-1a 64-bit reference vectors
 _KNOWN = [
@@ -34,6 +38,41 @@ def test_fnv1a64_sensitive_to_any_byte():
         flipped = bytearray(base)
         flipped[i] ^= 0x01
         assert fnv1a64(bytes(flipped)) != h0
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(12)
+    for n in (0, 1, 2, 255, 256, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        yield rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+    yield b"\x00" * (2 * _BLOCK + 3)
+    yield b"\xff" * (2 * _BLOCK + 3)
+
+
+@pytest.mark.parametrize("data", list(_oracle_inputs()), ids=lambda d: f"{len(d)}B")
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_fnv1a64_matches_bytewise_oracle(data, kind):
+    # block edges, and runs of all-zero and all-one bytes
+    assert fnv1a64(kind(data)) == fnv1a64_bytewise(data)
+
+
+def test_fnv1a64_sensitive_to_a_byte_in_a_later_block():
+    data = bytearray(np.random.default_rng(13).integers(0, 256, size=2 * _BLOCK + 5,
+                                                        dtype=np.uint8).tobytes())
+    h0 = fnv1a64(data)
+    data[_BLOCK + 17] ^= 0x40
+    assert fnv1a64(data) != h0
+    assert fnv1a64(data) == fnv1a64_bytewise(data)
+
+
+def test_fnv1a64_scratch_is_bounded():
+    data = bytes(8 << 20)
+    tracemalloc.start()
+    try:
+        fnv1a64(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_digest_file_matches_in_memory_hash(tmp_path):

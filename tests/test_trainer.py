@@ -77,6 +77,32 @@ def test_dictionary_step_redraws_collapsed_before_unused():
     assert np.array_equal(out[:, [1, 0]], _unit_draws(CounterRng(5), 4, 2))
 
 
+def test_dictionary_step_redraws_64_atoms_as_64_draws():
+    A = init_dictionary(64, 64, seed=3)
+    Y = np.random.default_rng(2).normal(size=(64, 10))
+    X = np.zeros((64, 10))
+    out, redrawn = dictionary_step(A, Y, X, PenaltyConfig("wl", 0.5), 1.0,
+                                   CounterRng(0))
+    assert redrawn == list(range(64))
+    assert np.array_equal(out, _unit_draws(CounterRng(0), 64, 64))
+
+
+def test_dictionary_step_draws_collapsed_then_unused_in_order():
+    # stimulus i has code 1 on atom used[i] only; with lr / b = 2, a
+    # stimulus y = a / 2 sends its atom exactly to zero (as below)
+    A = init_dictionary(16, 8, seed=4)
+    collapsed, kept, unused = [2, 5, 7], [1, 4], [0, 3, 6]
+    used = collapsed + kept
+    X = np.zeros((8, len(used)))
+    X[used, range(len(used))] = 1.0
+    Y = np.random.default_rng(6).normal(size=(16, len(used)))
+    Y[:, :len(collapsed)] = 0.5 * A[:, collapsed]
+    out, redrawn = dictionary_step(A, Y, X, PenaltyConfig("l1", 0.0), 2.0 * len(used),
+                                   CounterRng(8))
+    assert redrawn == sorted(collapsed + unused)
+    assert np.array_equal(out[:, collapsed + unused], _unit_draws(CounterRng(8), 16, 6))
+
+
 def test_dictionary_step_redraws_collapsed_column():
     # one atom, one stimulus, code 1: the update is a - lr (a - y), and
     # y = a (1 - 1/lr) sends the column exactly to zero
