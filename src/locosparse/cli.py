@@ -1,5 +1,7 @@
 """Command-line surface: train, eval, cluster, render.
 
+The parser is the one description of every option: `entrypoint` writes
+the manifest of train, eval and cluster from the parsed arguments.
 Exit codes: 0 success, 1 runtime failure, 2 usage error (a bad flag or a ConfigError).
 """
 
@@ -8,8 +10,6 @@ import math
 import shlex
 import sys
 import time
-
-import numpy as np
 
 from .encoder import MOMENTUM_MODES, encode
 from .errors import ConfigError, LocosparseError
@@ -25,48 +25,20 @@ from .tensor import load_image_stack, load_tensor, write_file
 from .trainer import TrainConfig, load_model, save_model, train
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _at_least(cast, least, strict=False):
+    """An argparse type: cast the text, then require a finite value of at
+    least `least` (above it when strict)."""
+    def parse(text):
+        value = cast(text)
+        # comparisons, not math.isfinite: they reject nan and inf, and an int
+        # too large for a float still compares exactly
+        if not ((least < value if strict else least <= value) and value < math.inf):
+            bound = f"above {least}" if strict else f"at least {least}"
+            raise argparse.ArgumentTypeError(f"expected a finite value {bound}, got {text}")
+        return value
 
-
-def _patch_side(text):
-    value = int(text)
-    if value < MIN_PATCH_SIDE:
-        raise argparse.ArgumentTypeError(
-            f"expected a patch side of at least {MIN_PATCH_SIDE}, got {text}")
-    return value
-
-
-def _non_negative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
-
-
-def _positive_float(text):
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
-    return value
-
-
-def _non_negative_float(text):
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite non-negative number, got {text}")
-    return value
-
-
-def _bin_count(text):
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 bins, got {text}")
-    return value
+    parse.__name__ = cast.__name__  # argparse names the type when the cast fails
+    return parse
 
 
 def build_parser():
@@ -78,15 +50,15 @@ def build_parser():
     p = sub.add_parser("train", help="learn a dictionary from image patches")
     p.add_argument("--data", required=True, help="SCT or PGM image file")
     p.add_argument("--penalty", required=True, choices=KINDS)
-    p.add_argument("--lambda", dest="lam", type=_non_negative_float, default=0.5)
-    p.add_argument("--patch-size", type=_patch_side, default=8)
-    p.add_argument("--num-atoms", type=_positive_int, default=64)
-    p.add_argument("--steps", type=_positive_int, default=15)
+    p.add_argument("--lambda", type=_at_least(float, 0.0), default=0.5)
+    p.add_argument("--patch-size", type=_at_least(int, MIN_PATCH_SIDE), default=8)
+    p.add_argument("--num-atoms", type=_at_least(int, 1), default=64)
+    p.add_argument("--steps", type=_at_least(int, 1), default=15)
     p.add_argument("--momentum", choices=MOMENTUM_MODES, default="aswritten")
-    p.add_argument("--epochs", type=_non_negative_int, default=200)
-    p.add_argument("--batch-size", type=_positive_int, default=100)
-    p.add_argument("--knn-k", type=_positive_int, default=4)
-    p.add_argument("--lr", type=_positive_float, default=1.0)
+    p.add_argument("--epochs", type=_at_least(int, 0), default=200)
+    p.add_argument("--batch-size", type=_at_least(int, 1), default=100)
+    p.add_argument("--knn-k", type=_at_least(int, 1), default=4)
+    p.add_argument("--lr", type=_at_least(float, 0.0, strict=True), default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--standardize", action="store_true",
                    help="zero-mean and unit-norm each sampled patch")
@@ -95,41 +67,49 @@ def build_parser():
 
     p = sub.add_parser("eval", help="fit Gabors to receptive-field estimates")
     p.add_argument("--model", required=True, help="model prefix from train")
-    p.add_argument("--samples", type=_positive_int, default=20000)
+    p.add_argument("--samples", type=_at_least(int, 1), default=20000)
     p.add_argument("--source", choices=("sta", "atoms"), default="sta")
-    p.add_argument("--bins", type=_bin_count, default=9)
+    p.add_argument("--bins", type=_at_least(int, 2), default=9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("cluster", help="spectral clustering of codes or stimuli")
     p.add_argument("--codes", required=True, help="SCT tensor of codes or stimuli")
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--k", type=_at_least(int, 1), required=True)
     p.add_argument("--mode", choices=("bipartite", "stimuli"), required=True)
-    p.add_argument("--knn-k", type=_positive_int, default=4)
+    p.add_argument("--knn-k", type=_at_least(int, 1), default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("render", help="render a 2-D tensor as a filter grid")
     p.add_argument("--tensor", required=True, help="SCT tensor, columns are filters")
-    p.add_argument("--cols", type=_positive_int, default=8)
-    p.add_argument("--cell", type=_positive_float, default=32.0)
+    p.add_argument("--cols", type=_at_least(int, 1), default=8)
+    p.add_argument("--cell", type=_at_least(float, 0.0, strict=True), default=32.0)
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=_cmd_render)
     return parser
 
 
 def entrypoint(argv=None):
+    """Run one subcommand, then write the manifest if it returned (inputs, outputs)."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = shlex.join(["locosparse"] + argv)
+    args = build_parser().parse_args(argv)
+    start = time.time()
     try:
-        return args.func(args, command)
+        record = args.func(args)
+        if record is not None:
+            inputs, outputs = record
+            manifest = f"{args.out}.manifest.txt"
+            config = {key: value for key, value in vars(args).items()
+                      if key not in ("subcommand", "func", "out")}
+            write_manifest(manifest, shlex.join(["locosparse", *argv]), config, inputs,
+                           [*outputs, manifest], time.time() - start)
     except (LocosparseError, OSError) as exc:
         print(f"locosparse: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
+    return 0
 
 
 def _fmt_float(x):
@@ -140,13 +120,12 @@ def _write_lines(path, lines):
     write_file(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
-def _cmd_train(args, command):
-    start = time.time()
+def _cmd_train(args):
     images = load_image_stack(args.data)
     cfg = TrainConfig(
         num_atoms=args.num_atoms,
         patch_side=args.patch_size,
-        penalty=PenaltyConfig(args.penalty, args.lam, args.knn_k),
+        penalty=PenaltyConfig(args.penalty, getattr(args, "lambda"), args.knn_k),
         steps=args.steps,
         momentum_mode=args.momentum,
         epochs=args.epochs,
@@ -160,24 +139,11 @@ def _cmd_train(args, command):
     loss_path = f"{args.out}.loss.csv"
     _write_lines(loss_path, ["batch,loss", *(
         f"{i},{_fmt_float(value)}" for i, value in enumerate(model.loss_history))])
-    outputs = [f"{args.out}.sct", f"{args.out}.meta", loss_path,
-               f"{args.out}.manifest.txt"]
-    config = {
-        "penalty": args.penalty, "lambda": _fmt_float(args.lam),
-        "patch_size": args.patch_size, "num_atoms": args.num_atoms,
-        "steps": args.steps, "momentum": args.momentum,
-        "epochs": args.epochs, "batch_size": args.batch_size,
-        "knn_k": args.knn_k, "lr": _fmt_float(args.lr), "seed": args.seed,
-        "standardize": args.standardize,
-    }
-    write_manifest(outputs[-1], command, config, [args.data], outputs,
-                   time.time() - start)
-    print(f"trained {args.penalty} dictionary with {args.num_atoms} atoms: {outputs[0]}")
-    return 0
+    print(f"trained {args.penalty} dictionary with {args.num_atoms} atoms: {args.out}.sct")
+    return [args.data], [f"{args.out}.sct", f"{args.out}.meta", loss_path]
 
 
-def _cmd_eval(args, command):
-    start = time.time()
+def _cmd_eval(args):
     dictionary, meta = load_model(args.model)
     atoms = dictionary.atoms
     side = dictionary.patch_side
@@ -221,17 +187,11 @@ def _cmd_eval(args, command):
         f"non_converged={hist.excluded}", f"symmetry_score={_fmt_float(balance)}",
         f"source={args.source}", f"bins={args.bins}"])
 
-    outputs = [gabor_path, phases_path, summary_path, f"{args.out}.manifest.txt"]
-    config = {"model": args.model, "samples": args.samples, "source": args.source,
-              "bins": args.bins, "seed": args.seed}
-    inputs = [f"{args.model}.sct", f"{args.model}.meta"]
-    write_manifest(outputs[-1], command, config, inputs, outputs,
-                   time.time() - start)
     print(f"fitted {converged_count}/{len(params)} neurons: {gabor_path}")
-    return 0
+    return [f"{args.model}.sct", f"{args.model}.meta"], [gabor_path, phases_path, summary_path]
 
 
-def _cmd_cluster(args, command):
+def _cmd_cluster(args):
     X = load_tensor(args.codes)
     if X.ndim != 2:
         raise ConfigError("codes tensor must be 2-D")
@@ -245,12 +205,11 @@ def _cmd_cluster(args, command):
     _write_lines(args.out, ["vertex_id,side,label", *(
         f"{vid},{side_name},{int(label)}"
         for vid, (side_name, label) in enumerate(zip(sides, assignment.labels)))])
-    return 0
+    return [args.codes], [args.out]
 
 
-def _cmd_render(args, command):
+def _cmd_render(args):
     M = load_tensor(args.tensor)
     if M.ndim != 2:
         raise ConfigError("render expects a 2-D tensor")
     write_file(args.out, render_grid_svg(M, args.cols, args.cell).encode("utf-8"))
-    return 0

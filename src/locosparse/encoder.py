@@ -106,9 +106,10 @@ def encode(Y, A, cfg):
     X = np.zeros((A.shape[1], Y.shape[1]))
     lookahead = X
     for t in range(cfg.steps):
-        Xn = pen.prox(lookahead - alpha * pen.code_gradient(lookahead), alpha)
-        if not np.all(np.isfinite(Xn)):
-            raise DivergenceError(f"encoder produced non-finite values at step {t}")
+        Z = lookahead - alpha * pen.code_gradient(lookahead)
+        if not np.all(np.isfinite(Z)):
+            raise DivergenceError(f"encoder gradient step {t} produced non-finite values")
+        Xn = pen.prox(Z, alpha)
         lookahead = Xn + sched.gammas[t] * (Xn - X)
         X = Xn
     return X, pen.objective(X)

@@ -1,12 +1,13 @@
 """End-to-end command-line behavior: exit codes, output files, determinism."""
 
+import argparse
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from locosparse import penalties
-from locosparse.cli import entrypoint
+from locosparse.cli import build_parser, entrypoint
 from locosparse.gabor import GaborParams, render_gabor
 from locosparse.manifest import digest_file
 from locosparse.penalties import PenaltyConfig
@@ -172,6 +173,7 @@ def test_render_produces_parseable_svg(workspace):
     assert code == 0
     root = ET.fromstring(out.read_text())
     assert root.tag.endswith("svg")
+    assert list(workspace.glob("grid.svg*")) == [out]  # render keeps no manifest
 
 
 def test_cluster_bipartite(workspace):
@@ -244,17 +246,49 @@ def test_bad_choice_exits_2():
 
 
 def test_non_positive_numeric_flag_exits_2():
-    for flag in (["--num-atoms", "0"], ["--patch-size", "1"],
-                 ["--lambda", "nan"], ["--lambda", "inf"],
-                 ["--lr", "nan"], ["--lr", "inf"]):
-        with pytest.raises(SystemExit) as exc:
-            entrypoint(["train", "--data", "x.sct", "--penalty", "l1",
-                        *flag, "--out", "y"])
-        assert exc.value.code == 2, flag
-    for cell in ("nan", "inf"):
-        with pytest.raises(SystemExit) as exc:
-            entrypoint(["render", "--tensor", "x.sct", "--cell", cell, "--out", "y.svg"])
-        assert exc.value.code == 2, cell
+    # one value just past each bound, next to the other flags' required values
+    required = {"train": ["--data", "x.sct", "--penalty", "l1"],
+                "eval": ["--model", "m"],
+                "cluster": ["--codes", "x.sct", "--mode", "bipartite"],
+                "render": ["--tensor", "x.sct"]}
+    bad = {"train": [["--num-atoms", "0"], ["--patch-size", "1"],
+                     ["--lambda", "nan"], ["--lambda", "inf"], ["--lambda", "-0.1"],
+                     ["--lr", "nan"], ["--lr", "inf"], ["--lr", "0"],
+                     ["--epochs", "-1"], ["--steps", "0"], ["--batch-size", "0"],
+                     ["--knn-k", "0"]],
+           "eval": [["--bins", "1"], ["--samples", "0"]],
+           "cluster": [["--k", "0"], ["--knn-k", "0"]],
+           "render": [["--cols", "0"], ["--cell", "0"], ["--cell", "nan"],
+                      ["--cell", "inf"]]}
+    for command, flags in bad.items():
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                entrypoint([command, *required[command], *flag, "--out", "y"])
+            assert exc.value.code == 2, (command, flag)
+
+
+def _option_dests(command):
+    """The dests of a subcommand's options, read from the parser itself."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for action in subparsers.choices[command]._actions} - {"help"}
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "cluster"])
+def test_manifest_records_every_option_and_every_output(workspace, gabor_model, tmp_path,
+                                                        command):
+    out = tmp_path / ("groups.csv" if command == "cluster" else "run")
+    args = {"train": ["--data", str(workspace / "image.sct"), *TRAIN_ARGS],
+            "eval": ["--model", str(gabor_model), "--source", "atoms"],
+            "cluster": ["--codes", str(workspace / "model.sct"), "--k", "2",
+                        "--mode", "stimuli", "--knn-k", "2"]}[command]
+    assert entrypoint([command, *args, "--out", str(out)]) == 0
+    lines = (tmp_path / f"{out.name}.manifest.txt").read_text().splitlines()
+    config = {line.partition("=")[0].removeprefix("config.")
+              for line in lines if line.startswith("config.")}
+    assert config == _option_dests(command) - {"out"}
+    outputs = [line.removeprefix("output=") for line in lines if line.startswith("output=")]
+    assert sorted(outputs) == sorted(str(path) for path in tmp_path.iterdir())
 
 
 def test_cluster_k_exceeding_vertices_returns_2(workspace, capsys):
@@ -263,7 +297,7 @@ def test_cluster_k_exceeding_vertices_returns_2(workspace, capsys):
                        "--k", "50", "--mode", "bipartite", "--out", str(out)])
     assert code == 2
     assert "exceeds the vertex count" in capsys.readouterr().err
-    assert not out.exists()
+    assert list(workspace.glob("bad.csv*")) == []
 
 
 def test_train_config_conflicts_exit_2_and_write_nothing(tmp_path, capsys):

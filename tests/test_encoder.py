@@ -12,7 +12,7 @@ from locosparse.encoder import (EncoderConfig, encode, momentum_schedule,
 from locosparse.errors import (ConfigError, ContractError,
                                DegenerateInputError, DivergenceError)
 from locosparse.graphs import knn_adjacency, laplacian_from_adjacency
-from locosparse.penalties import PenaltyConfig
+from locosparse.penalties import KINDS, PenaltyConfig
 from locosparse.simplex import project_columns
 
 from oracles import jacobi_eigenvalues_classical, pairwise_sq_distances_loops
@@ -217,6 +217,18 @@ def test_absurd_step_size_raises_divergence(monkeypatch):
     A, Y = _random_instance(8)
     cfg = EncoderConfig(PenaltyConfig("l1", 0.5), steps=15, momentum_mode="none")
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+        encode(Y, A, cfg)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_absurd_step_size_diverges_before_prox(monkeypatch, kind):
+    # the gradient step blows through the float range; the overflow on
+    # the way up is expected, and the error must surface before any prox
+    # (the simplex projection of wl and lap rejects non-finite input)
+    monkeypatch.setattr(encoder, "spectral_norm_sq_inv", lambda A: 1e308)
+    A, Y = _random_instance(8)
+    cfg = EncoderConfig(PenaltyConfig(kind, 0.5), steps=15, momentum_mode="none")
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="gradient step"):
         encode(Y, A, cfg)
 
 
