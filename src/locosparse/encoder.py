@@ -103,13 +103,19 @@ def encode(Y, A, cfg):
     alpha = spectral_norm_sq_inv(A)
     sched = momentum_schedule(cfg.steps, cfg.momentum_mode)
 
+    # each step overwrites the buffers it no longer reads: the gradient
+    # becomes the step Z, and the previous codes become the lookahead
     X = np.zeros((A.shape[1], Y.shape[1]))
     lookahead = X
     for t in range(cfg.steps):
-        Z = lookahead - alpha * pen.code_gradient(lookahead)
+        Z = pen.code_gradient(lookahead)
+        Z *= alpha
+        np.subtract(lookahead, Z, out=Z)
         if not np.all(np.isfinite(Z)):
             raise DivergenceError(f"encoder gradient step {t} produced non-finite values")
         Xn = pen.prox(Z, alpha)
-        lookahead = Xn + sched.gammas[t] * (Xn - X)
+        lookahead = np.subtract(Xn, X, out=X)
+        lookahead *= sched.gammas[t]
+        lookahead += Xn
         X = Xn
     return X, pen.objective(X)

@@ -39,17 +39,31 @@ def _low_bytes(low0, block):
     The low byte steps as l' = ((l ^ b) * P) mod 256. For an odd P, bit
     k of x * P is bit k of x xored with bit k of (x mod 2**k) * P, so
     once the bits below k are known, bit k over the whole block is a
-    prefix xor: eight passes, lowest bit first.
+    prefix xor: eight passes, lowest bit first. Each prefix xor handles
+    eight bytes per little-endian uint64 word: three shifts xor every
+    byte into the bytes above it, and a running xor over the words' top
+    bytes, eight times shorter than the block, carries the earlier words
+    in. The block is zero-padded to whole words; the prefix runs forward,
+    so the padding changes no byte before it.
     """
     low_prime = _FNV_PRIME & 0xFF
-    low = np.zeros(block.size + 1, dtype=np.uint8)  # before byte j: low[j]; after it: low[j + 1]
+    size = -(-block.size // 8) * 8
+    padded = np.zeros(size, dtype=np.uint8)
+    padded[:block.size] = block
+    low = np.zeros(size + 1, dtype=np.uint8)  # before byte j: low[j]; after it: low[j + 1]
     low[0] = low0
+    flips = np.empty(size, dtype=np.uint8)
+    words = flips.view("<u8")
     for k in range(8):
         bit = 1 << k
-        known = (low[:-1] ^ block) & (bit - 1)
-        flips = (block ^ (known * low_prime)) & bit
-        low[1:] |= np.bitwise_xor.accumulate(flips) ^ (low0 & bit)
-    return low[:-1]
+        known = (low[:-1] ^ padded) & (bit - 1)
+        np.bitwise_and(padded ^ (known * low_prime), bit, out=flips)
+        for shift in (8, 16, 32):
+            words ^= words << np.uint64(shift)
+        carry = np.bitwise_xor.accumulate(words >> np.uint64(56))
+        words[1:] ^= carry[:-1] * np.uint64(0x0101010101010101)
+        low[1:] |= flips ^ (low0 & bit)
+    return low[:block.size]
 
 
 def digest_file(path):

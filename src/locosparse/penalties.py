@@ -77,6 +77,7 @@ class BatchObjective:
         self.kind, self.lam, self.A, self.Y = penalty.kind, penalty.lam, A, Y
         if self.kind == "wl":
             self.D = pairwise_sq_distances(A, Y)
+            self.lam_D = self.lam * self.D  # the code gradient's charge, formed once
         elif self.kind == "lap":
             self.G = laplacian_from_adjacency(knn_adjacency(Y, penalty.knn_k)).matrix
 
@@ -91,17 +92,29 @@ class BatchObjective:
         return fit + self.lam * float(((X @ self.G) * X).sum())
 
     def code_gradient(self, X):
-        """Gradient in X of the smooth part; l1's charge goes to `prox`."""
-        grad = self.A.T @ (self.A @ X - self.Y)
+        """Gradient in X of the smooth part; l1's charge goes to `prox`.
+
+        Returns a new array that the caller may overwrite. Each term is
+        added in place, with the same operands and order as the formula.
+        """
+        resid = self.A @ X
+        resid -= self.Y
+        grad = self.A.T @ resid
         if self.kind == "wl":
-            return grad + self.lam * self.D
-        if self.kind == "lap":
-            return grad + (2.0 * self.lam) * (X @ self.G)
+            grad += self.lam_D
+        elif self.kind == "lap":
+            pull = X @ self.G
+            pull *= 2.0 * self.lam
+            grad += pull
         return grad
 
     def prox(self, Z, alpha):
         """The step after a gradient step of size alpha: soft thresholding
         for l1, the column-wise simplex projection for wl and lap."""
         if self.kind == "l1":
-            return np.sign(Z) * np.maximum(np.abs(Z) - alpha * self.lam, 0.0)
+            shrunk = np.abs(Z)
+            shrunk -= alpha * self.lam
+            np.maximum(shrunk, 0.0, out=shrunk)
+            shrunk *= np.sign(Z)
+            return shrunk
         return project_columns(Z)

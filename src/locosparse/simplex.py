@@ -5,7 +5,7 @@ import numpy as np
 from .errors import ContractError
 
 # bound on the difference scratch of one atom block in pairwise_sq_distances
-_DIFF_SCRATCH_BYTES = 16 * 2**20
+_DIFF_SCRATCH_BYTES = 256 * 2**10
 
 
 def project_simplex(x):
@@ -28,21 +28,33 @@ def project_columns(X):
     Each column v becomes relu(v + b) with the shift b found by the sort
     rule: sort descending as u, take the largest j with
     u_j + (1 - sum_{k<=j} u_k)/j > 0, and set b to that bracketed mean.
+
+    The sort, the prefix sums and the test run on a C-ordered n x m copy,
+    one column per contiguous row, so each pass walks memory in order;
+    the cumulative sum is sequential in either layout, so no bit moves.
+    A column whose largest entry is above 2**53 rounds the j = 1 test to
+    zero and finds no j; it is projected again after subtracting its
+    maximum, which leaves the projection unchanged.
     """
     M = np.asarray(X, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] < 1:
         raise ContractError("project_columns expects an m x n matrix with m >= 1")
     if not np.all(np.isfinite(M)):
         raise ContractError("project_columns requires finite entries")
-    m = M.shape[0]
-    u = -np.sort(-M, axis=0)
-    css = np.cumsum(u, axis=0)
-    j = np.arange(1, m + 1)[:, None]
-    mask = u + (1.0 - css) / j > 0.0
-    rho = np.where(mask, j, 0).max(axis=0)
-    picked = np.take_along_axis(css, rho[None, :] - 1, axis=0)[0]
-    b = (1.0 - picked) / rho
-    return np.maximum(M + b[None, :], 0.0)
+    n, j = M.shape[1], np.arange(1, M.shape[0] + 1)
+    u = np.negative(M.T, order="C")
+    u.sort(axis=1)
+    np.negative(u, out=u)
+    css = np.cumsum(u, axis=1)
+    rho = np.where(u + (1.0 - css) / j > 0.0, j, 0).max(axis=1)
+    lost = rho == 0
+    rho[lost] = 1
+    b = (1.0 - css[np.arange(n), rho - 1]) / rho
+    out = np.maximum(M + b, 0.0)
+    if lost.any():
+        shifted = M[:, lost] - M[:, lost].max(axis=0)
+        out[:, lost] = project_columns(shifted)
+    return out
 
 
 def pairwise_sq_distances(A, Y):
@@ -52,9 +64,17 @@ def pairwise_sq_distances(A, Y):
     identical columns give exact zeros and entries never go negative. The
     difference tensor is built and freed one block of atom columns at a
     time, within `_DIFF_SCRATCH_BYTES` (or one column, if that is larger).
+    256 KiB keeps a block well inside a core's L2 cache (2 MiB on the
+    Xeon it was measured on), which 16 MiB blocks overflowed. Both
+    operands are made C-contiguous first, so every block is a C-ordered
+    d x block x n tensor and `einsum` sums each entry over d in
+    sequence, whatever the block size (but for one atom against one
+    stimulus, a plain length-d dot product). With a transposed view (the
+    stimulus chunks of `sta_receptive_fields`), a one-atom block would be
+    laid out with d innermost and summed in another order.
     """
-    A = np.asarray(A, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
     if A.ndim != 2 or Y.ndim != 2 or A.shape[0] != Y.shape[0]:
         raise ContractError(f"shape mismatch: A {A.shape} vs Y {Y.shape}")
     (d, m), n = A.shape, Y.shape[1]

@@ -5,7 +5,8 @@ strategy than the library code it validates: support enumeration instead
 of sort-and-threshold, finite differences instead of analytic gradients,
 classical largest-pivot Jacobi instead of cyclic sweeps, breadth-first
 search instead of spectral structure, one candidate at a time instead of
-a broadcast tensor, one byte at a time instead of numpy blocks.
+a broadcast tensor, one byte at a time instead of numpy blocks, and a
+column-major walk instead of one contiguous row per stimulus.
 """
 
 import itertools
@@ -34,6 +35,26 @@ def simplex_projection_bruteforce(v):
                 best_obj = obj
                 best = cand
     return np.clip(best, 0.0, None)
+
+
+def project_columns_colwise(M):
+    """Column-wise simplex projection by the sort rule, sorting, summing
+    and testing down the columns of the m x n matrix as it lies.
+
+    `simplex.project_columns` runs the same arithmetic on one contiguous
+    row per column, so the two agree to the byte. This one fails (rho =
+    0, a division by zero) on a column whose largest entry is above 2**53.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    m = M.shape[0]
+    u = -np.sort(-M, axis=0)
+    css = np.cumsum(u, axis=0)
+    j = np.arange(1, m + 1)[:, None]
+    mask = u + (1.0 - css) / j > 0.0
+    rho = np.where(mask, j, 0).max(axis=0)
+    picked = np.take_along_axis(css, rho[None, :] - 1, axis=0)[0]
+    b = (1.0 - picked) / rho
+    return np.maximum(M + b[None, :], 0.0)
 
 
 def fd_gradient(f, x, h=1e-6):

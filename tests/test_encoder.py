@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from locosparse import encoder
-from locosparse.encoder import (EncoderConfig, encode, momentum_schedule,
-                                spectral_norm_sq_inv)
+from locosparse.encoder import (MOMENTUM_MODES, EncoderConfig, encode,
+                                momentum_schedule, spectral_norm_sq_inv)
 from locosparse.errors import (ConfigError, ContractError,
                                DegenerateInputError, DivergenceError)
 from locosparse.graphs import knn_adjacency, laplacian_from_adjacency
 from locosparse.penalties import KINDS, PenaltyConfig
-from locosparse.simplex import project_columns
+from locosparse.simplex import pairwise_sq_distances, project_columns
 
-from oracles import jacobi_eigenvalues_classical, pairwise_sq_distances_loops
+from oracles import jacobi_eigenvalues_classical, project_columns_colwise
 
 
 def test_aswritten_schedule_closed_forms():
@@ -139,26 +139,35 @@ def test_lap_descent_with_supplied_graph():
 
 
 def test_l1_path_matches_handrolled_ista():
-    # the same loop for every penalty: a gradient step on the smooth part,
-    # then soft thresholding (l1) or the simplex projection (wl, lap)
+    # the same loop for every penalty and momentum mode: a gradient step on
+    # the smooth part, then soft thresholding (l1) or the simplex projection
+    # (wl, lap), then the lookahead Xn + gamma_t (Xn - X). l1 and wl match
+    # to the byte; the lap pull here uses G + G^T, so it rounds apart
     A, Y = _random_instance(5, d=12, m=9, n=7)
     lam = 0.4
     G = laplacian_from_adjacency(knn_adjacency(Y, 4)).matrix
-    D = pairwise_sq_distances_loops(A, Y)
+    D = pairwise_sq_distances(A, Y)
     alpha = spectral_norm_sq_inv(A)
-    for kind in ("l1", "wl", "lap"):
+    for kind in KINDS:
         pen = PenaltyConfig(kind, lam, knn_k=4)
-        Z = np.zeros((9, 7))
-        for t in range(1, 16):
-            grad = A.T @ (A @ Z - Y)
-            if kind == "l1":
-                step = Z - alpha * grad
-                Z = np.sign(step) * np.maximum(np.abs(step) - alpha * lam, 0.0)
-            else:
-                pull = lam * D if kind == "wl" else lam * (Z @ (G + G.T))
-                Z = project_columns(Z - alpha * (grad + pull))
-            X, _ = encode(Y, A, EncoderConfig(pen, steps=t, momentum_mode="none"))
-            assert np.allclose(X, Z, atol=1e-12), (kind, t)
+        for mode in MOMENTUM_MODES:
+            gammas = momentum_schedule(15, mode).gammas
+            X = lookahead = np.zeros((9, 7))
+            for t in range(15):
+                grad = A.T @ (A @ lookahead - Y)
+                if kind == "l1":
+                    step = lookahead - alpha * grad
+                    Xn = np.sign(step) * np.maximum(np.abs(step) - alpha * lam, 0.0)
+                else:
+                    pull = lam * D if kind == "wl" else lam * (lookahead @ (G + G.T))
+                    Xn = project_columns_colwise(lookahead - alpha * (grad + pull))
+                lookahead = Xn + gammas[t] * (Xn - X)
+                X = Xn
+                got, _ = encode(Y, A, EncoderConfig(pen, steps=t + 1, momentum_mode=mode))
+                if kind == "lap":
+                    assert np.allclose(got, X, atol=1e-12), (kind, mode, t)
+                else:
+                    assert got.tobytes() == X.tobytes(), (kind, mode, t)
 
 
 def test_l1_codes_can_go_negative():

@@ -1,6 +1,7 @@
 """Simplex projection against a brute-force active-set oracle."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from locosparse.errors import ContractError
 from locosparse.simplex import (pairwise_sq_distances, project_columns,
                                 project_simplex)
 
-from oracles import pairwise_sq_distances_loops, simplex_projection_bruteforce
+from oracles import (pairwise_sq_distances_loops, project_columns_colwise,
+                     simplex_projection_bruteforce)
 
 
 def test_projection_matches_bruteforce_small_dims():
@@ -81,6 +83,48 @@ def test_column_projection_matches_vector_version():
         assert np.allclose(cols[:, i], project_simplex(M[:, i]), atol=1e-12)
 
 
+def _projection_inputs():
+    rng = np.random.default_rng(19)
+    for m in (1, 2, 7, 64):
+        for n in (1, 100, 1024):
+            yield rng.normal(scale=3.0, size=(m, n))
+    # ties within a column, integer-valued columns, signed zeros
+    yield rng.integers(-2, 3, size=(7, 100)).astype(np.float64)
+    yield rng.integers(-50, 50, size=(64, 100)).astype(np.float64)
+    yield np.tile(rng.normal(size=(1, 100)), (7, 1))
+    zeros = np.zeros((7, 100))
+    zeros[rng.random(zeros.shape) < 0.5] = -0.0
+    yield zeros
+    mixed = rng.normal(size=(64, 100))
+    mixed[rng.random(mixed.shape) < 0.3] = 0.0
+    mixed[rng.random(mixed.shape) < 0.3] = -0.0
+    yield mixed
+
+
+@pytest.mark.parametrize("M", list(_projection_inputs()), ids=lambda M: "x".join(map(str, M.shape)))
+def test_column_projection_matches_columnwise_oracle_bytes(M):
+    # the row layout reorders memory, not arithmetic
+    assert project_columns(M).tobytes() == project_columns_colwise(M).tobytes()
+
+
+def test_column_projection_of_entries_above_2_53():
+    # u_1 + (1 - u_1) rounds to 0 for u_1 > 2**53, so the sort rule finds
+    # no j; the projection is shift invariant, so those columns use v - max(v)
+    columns = ([1e17, 0.5], [1e17, -3e17], [1e16, 0.25, 0.1])
+    for column in columns:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = project_columns(np.array(column)[:, None])[:, 0]
+        assert got.tolist() == [1.0] + [0.0] * (len(column) - 1), column
+    # the other columns of the matrix keep their bits
+    M = np.random.default_rng(23).normal(size=(2, 5))
+    want = project_columns(M)
+    M_big = np.insert(M, 2, [1e17, -3e17], axis=1)
+    got = project_columns(M_big)
+    assert got[:, 2].tolist() == [1.0, 0.0]
+    assert np.delete(got, 2, axis=1).tobytes() == want.tobytes()
+
+
 def test_column_projection_rejects_bad_input():
     with pytest.raises(ContractError):
         project_columns(np.zeros(3))
@@ -112,28 +156,33 @@ def test_pairwise_distances_shape_errors():
 
 
 def _sq_distances_one_tensor(A, Y):
-    """Reference: one d x m x n difference tensor for all atoms at once."""
-    diff = A[:, :, None] - Y[:, None, :]
+    """Reference: one C-ordered d x m x n difference tensor for all atoms at once."""
+    diff = np.ascontiguousarray(A)[:, :, None] - np.ascontiguousarray(Y)[:, None, :]
     return np.einsum("dmn,dmn->mn", diff, diff)
 
 
 def test_pairwise_distances_blocks_match_single_block(monkeypatch):
     rng = np.random.default_rng(33)
-    d, m, n = 5, 10, 7
+    d, m, n = 64, 10, 7
     A = rng.normal(size=(d, m))
     Y = rng.normal(size=(d, n))
     # repeated atoms in different blocks of 3, and a stimulus equal to an atom
     A[:, 4] = A[:, 1]
     A[:, 9] = A[:, 1]
     Y[:, 2] = A[:, 1]
-    for A_, Y_ in ((A, Y), (np.zeros((0, m)), np.zeros((0, n)))):
+    # transposed views, the layout of sta_receptive_fields' stimulus chunks;
+    # d = 64, an 8 x 8 patch, is long enough for a d-innermost sum to round apart
+    A_t = np.ascontiguousarray(A.T).T
+    Y_t = np.ascontiguousarray(Y.T).T
+    cases = ((A, Y), (A_t, Y_t), (A, Y_t), (np.zeros((0, m)), np.zeros((0, n))))
+    for A_, Y_ in cases:
         want = _sq_distances_one_tensor(A_, Y_)
         for cols in (1, 3, m):
-            scratch = cols * A_.itemsize * max(A_.shape[0], 1) * n
+            scratch = cols * A_.itemsize * max(A_.shape[0], 1) * Y_.shape[1]
             monkeypatch.setattr(simplex, "_DIFF_SCRATCH_BYTES", scratch)
             got = pairwise_sq_distances(A_, Y_)
             assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes(), (A_.strides, Y_.strides, cols)
     assert pairwise_sq_distances(A, Y)[[1, 4, 9], 2].tolist() == [0.0, 0.0, 0.0]
 
 
