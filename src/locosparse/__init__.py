@@ -2,10 +2,7 @@
 
 from .encoder import (EncoderConfig, MomentumSchedule, encode, momentum_schedule,
                       spectral_norm_sq_inv)
-from .errors import (ConfigError, ContractError, DegenerateInputError,
-                     DivergenceError, EmptyHistogramError, FormatError,
-                     LocosparseError, NumericalError, StorageError,
-                     ValidationError)
+from .errors import ConfigError, LocosparseError
 from .gabor import GaborParams, canonical_vector, fold_phase, gabor_fit, render_gabor, shape_metrics
 from .graphs import GraphLaplacian, bipartite_laplacian, knn_adjacency, laplacian_from_adjacency
 from .patches import PatchSamplerConfig, StimulusBatch, sample_patches

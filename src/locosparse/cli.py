@@ -193,8 +193,6 @@ def _cmd_eval(args):
 
 def _cmd_cluster(args):
     X = load_tensor(args.codes)
-    if X.ndim != 2:
-        raise ConfigError("codes tensor must be 2-D")
     if args.mode == "bipartite":
         graph = bipartite_laplacian(X)
         sides = ["atom"] * X.shape[0] + ["stimulus"] * X.shape[1]
@@ -210,6 +208,4 @@ def _cmd_cluster(args):
 
 def _cmd_render(args):
     M = load_tensor(args.tensor)
-    if M.ndim != 2:
-        raise ConfigError("render expects a 2-D tensor")
     write_file(args.out, render_grid_svg(M, args.cols, args.cell).encode("utf-8"))

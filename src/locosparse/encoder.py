@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, ContractError, DegenerateInputError,
-                     DivergenceError)
+from .errors import ConfigError, LocosparseError
 from .penalties import PenaltyConfig
 
 MOMENTUM_MODES = ("aswritten", "fista", "none")
@@ -72,11 +71,11 @@ def spectral_norm_sq_inv(A):
     """1 / sigma_max(A)^2, the 1/L step size of proximal gradient descent."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
-        raise ContractError("dictionary must be a matrix")
+        raise ConfigError("dictionary must be a matrix")
     if not np.all(np.isfinite(A)):
-        raise ContractError("dictionary contains non-finite entries")
+        raise ConfigError("dictionary contains non-finite entries")
     if not A.any():
-        raise DegenerateInputError("zero dictionary has no spectral norm")
+        raise LocosparseError("zero dictionary has no spectral norm")
     return 1.0 / np.linalg.norm(A, 2) ** 2
 
 
@@ -112,7 +111,7 @@ def encode(Y, A, cfg):
         Z *= alpha
         np.subtract(lookahead, Z, out=Z)
         if not np.all(np.isfinite(Z)):
-            raise DivergenceError(f"encoder gradient step {t} produced non-finite values")
+            raise LocosparseError(f"encoder gradient step {t} produced non-finite values")
         Xn = pen.prox(Z, alpha)
         lookahead = np.subtract(Xn, X, out=X)
         lookahead *= sched.gammas[t]

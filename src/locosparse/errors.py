@@ -1,46 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one per nonzero exit code.
 
-Every error raised deliberately by locosparse derives from
-:class:`LocosparseError`, so callers can catch one base type at the CLI
-boundary and map it to a nonzero exit code.
+Every error raised deliberately by locosparse is a :class:`LocosparseError`,
+so the CLI catches one base type and maps it to a nonzero exit code.
 """
 
 
 class LocosparseError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class StorageError(LocosparseError):
-    """An I/O level problem: missing file, unreadable stream, short read."""
-
-
-class FormatError(LocosparseError):
-    """A byte stream or text file does not match its declared layout."""
-
-
-class ValidationError(LocosparseError):
-    """Well-formed data carrying values that violate a contract."""
+    """A run that failed (exit 1): unreadable, unwritable or corrupt files,
+    invalid values in stored data, and numerical breakdown."""
 
 
 class ConfigError(LocosparseError):
-    """An invalid configuration value or combination of values."""
-
-
-class ContractError(LocosparseError):
-    """An argument violates a documented precondition."""
-
-
-class DegenerateInputError(LocosparseError):
-    """Input that is structurally valid but has no meaningful answer."""
-
-
-class DivergenceError(LocosparseError):
-    """An iterative routine failed to reach its stopping rule."""
-
-
-class NumericalError(LocosparseError):
-    """A numeric quantity left its legal domain (NaN, Inf, negative norm)."""
-
-
-class EmptyHistogramError(LocosparseError):
-    """A histogram was requested over an empty collection of samples."""
+    """A request that cannot run (exit 2): an invalid configuration value, or
+    an argument that breaks a documented precondition, such as a shape."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError
 
 _GRID_THETAS = np.linspace(0.0, np.pi, 12, endpoint=False)
 _GRID_FREQS = np.geomspace(0.05, 0.45, 8)
@@ -114,9 +114,10 @@ def _coarse_grid(flat, u, v, u0, v0, sigma0):
     """(sse, amp) of every grid candidate, and the _NUM_STARTS best start vectors.
 
     One _evaluate call renders every candidate at unit amplitude, its
-    (theta, f, phi) axes broadcast against the pixels. A stacked
-    1 x n @ n x 1 matmul sums in the same order as a 1-D @, so each score
-    is bit-identical to scoring its candidate alone.
+    (theta, f, phi) axes broadcast against the pixels. Each dot product is
+    an elementwise product summed along its row, which numpy reduces in the
+    same order as the .sum() of that row alone, so each score is
+    bit-identical to scoring its candidate alone, whatever the BLAS kernel.
     """
     n = flat.size
     q = (1.0, u0, v0, _GRID_THETAS[:, None, None, None], sigma0, sigma0,
@@ -124,10 +125,9 @@ def _coarse_grid(flat, u, v, u0, v0, sigma0):
     shapes = _evaluate(q, u, v)[0].reshape(-1, n)
     # the fit quotients out DC: compare in the target's zero-mean subspace
     shapes -= shapes.sum(axis=1, keepdims=True) / n
-    rows = shapes[:, None, :]
-    denom = (rows @ shapes[:, :, None]).ravel()
+    denom = (shapes * shapes).sum(axis=1)
     amp = np.zeros_like(denom)
-    np.divide((rows @ flat[:, None]).ravel(), denom, out=amp, where=denom > 0.0)
+    np.divide((shapes * flat).sum(axis=1), denom, out=amp, where=denom > 0.0)
     sse = ((amp[:, None] * shapes - flat) ** 2).sum(axis=1)
     best = np.argsort(sse, kind="stable")[:_NUM_STARTS]
     starts = [np.array([amp[i], u0, v0, theta, sigma0, sigma0, f, phi])
@@ -242,9 +242,9 @@ def gabor_fit(image):
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise ContractError("receptive field must be a square image")
+        raise ConfigError("receptive field must be a square image")
     if not np.isfinite(img).all():
-        raise ContractError("receptive field must be finite")
+        raise ConfigError("receptive field must be finite")
     side = img.shape[0]
     # not tnorm == 0: the mean of a constant field can round off its value
     if img.min() == img.max():
@@ -287,5 +287,5 @@ def fold_phase(phi):
 def shape_metrics(params):
     """(sigma_x * f, sigma_y * f): small means blob-like, large elongated."""
     if not params.converged:
-        raise ContractError("shape metrics require a converged fit")
+        raise ConfigError("shape metrics require a converged fit")
     return params.sigma_x * params.freq, params.sigma_y * params.freq

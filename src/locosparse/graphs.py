@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, LocosparseError
 from .simplex import pairwise_sq_distances
 
 
@@ -21,15 +21,15 @@ class GraphLaplacian:
     def __post_init__(self):
         G = self.matrix
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise ContractError("laplacian must be square")
+            raise ConfigError("laplacian must be square")
         scale = max(1.0, float(np.abs(G).max()))
         if np.abs(G - G.T).max() > 1e-12 * scale:
-            raise ContractError("laplacian must be symmetric")
+            raise ConfigError("laplacian must be symmetric")
         if np.abs(G.sum(axis=1)).max() > 1e-10 * scale:
-            raise ContractError("laplacian rows must sum to zero")
+            raise ConfigError("laplacian rows must sum to zero")
         off = G - np.diag(np.diag(G))
         if off.max() > 1e-12 * scale:
-            raise ContractError("laplacian off-diagonal entries must be non-positive")
+            raise ConfigError("laplacian off-diagonal entries must be non-positive")
 
     @property
     def num_vertices(self):
@@ -46,11 +46,15 @@ def knn_adjacency(Y, k):
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
-        raise ContractError("stimuli must be a d x b matrix")
+        raise ConfigError("stimuli must be a d x b matrix")
     b = Y.shape[1]
     if k < 1 or k >= b:
         raise ConfigError(f"k must satisfy 1 <= k < b, got k={k} with b={b}")
     d2 = pairwise_sq_distances(Y, Y)
+    # an overflowed distance ties with the diagonal's inf below, and a tie
+    # can pick a column as its own neighbour
+    if not np.isfinite(d2).all():
+        raise LocosparseError("squared distances between stimuli overflow")
     np.fill_diagonal(d2, np.inf)
     nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
     del d2
@@ -63,13 +67,13 @@ def laplacian_from_adjacency(W):
     """D - W for a symmetric non-negative adjacency with zero diagonal."""
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ContractError("adjacency must be square")
+        raise ConfigError("adjacency must be square")
     if np.abs(W - W.T).max() > 1e-12:
-        raise ContractError("adjacency must be symmetric")
+        raise ConfigError("adjacency must be symmetric")
     if np.any(np.diag(W) != 0.0):
-        raise ContractError("adjacency diagonal must be zero")
+        raise ConfigError("adjacency diagonal must be zero")
     if W.min() < 0.0:
-        raise ContractError("adjacency weights must be non-negative")
+        raise ConfigError("adjacency weights must be non-negative")
     G = np.diag(W.sum(axis=1)) - W
     return GraphLaplacian(G)
 
@@ -83,9 +87,9 @@ def bipartite_laplacian(X):
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
-        raise ContractError("codes must be an m x n matrix")
+        raise ConfigError("codes must be an m x n matrix")
     if X.min() < 0.0:
-        raise ContractError("bipartite weights require non-negative codes")
+        raise ConfigError("bipartite weights require non-negative codes")
     m, n = X.shape
     W = np.zeros((m + n, m + n))
     W[:m, m:] = X

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ValidationError
+from .errors import ConfigError, LocosparseError
 from .rng import CounterRng, derive_seed
 
 # a 1-pixel patch has no spatial structure: nothing to code or fit a Gabor to
@@ -35,11 +35,11 @@ class StimulusBatch:
 
     def __post_init__(self):
         if self.patches.ndim != 2 or self.patches.shape[0] != self.patch_side ** 2:
-            raise ContractError(
+            raise ConfigError(
                 f"patches must be {self.patch_side ** 2} x n for "
                 f"patch_side {self.patch_side}, got {self.patches.shape}")
         if not np.all(np.isfinite(self.patches)):
-            raise ValidationError("stimulus batch contains non-finite values")
+            raise LocosparseError("stimulus batch contains non-finite values")
 
     @property
     def count(self):
@@ -63,7 +63,7 @@ def sample_patches(images, cfg):
     if stack.ndim == 2:
         stack = stack[:, :, None]
     if stack.ndim != 3:
-        raise ContractError(f"images must be H x W or H x W x C, got shape {stack.shape}")
+        raise ConfigError(f"images must be H x W or H x W x C, got shape {stack.shape}")
     height, width, frames = stack.shape
     side = cfg.patch_side
     if side > min(height, width):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .graphs import knn_adjacency, laplacian_from_adjacency
 from .simplex import pairwise_sq_distances, project_columns
 
@@ -73,7 +73,7 @@ class BatchObjective:
         A = np.asarray(A, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
         if Y.ndim != 2 or A.ndim != 2 or A.shape[0] != Y.shape[0]:
-            raise ContractError(f"shape mismatch: Y {Y.shape} vs A {A.shape}")
+            raise ConfigError(f"shape mismatch: Y {Y.shape} vs A {A.shape}")
         self.kind, self.lam, self.A, self.Y = penalty.kind, penalty.lam, A, Y
         if self.kind == "wl":
             self.D = pairwise_sq_distances(A, Y)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError
 
 
 def render_grid_svg(matrix, cols, cell_px):
@@ -17,13 +17,13 @@ def render_grid_svg(matrix, cols, cell_px):
     """
     M = np.asarray(matrix, dtype=np.float64)
     if M.ndim != 2:
-        raise ContractError("expected a 2-D matrix of column filters")
+        raise ConfigError("expected a 2-D matrix of column filters")
     d, m = M.shape
     side = math.isqrt(d)
     if side * side != d:
-        raise ContractError(f"column length {d} is not a perfect square")
+        raise ConfigError(f"column length {d} is not a perfect square")
     if cols < 1 or not (math.isfinite(cell_px) and cell_px > 0):
-        raise ContractError("cols and cell_px must be positive and finite")
+        raise ConfigError("cols and cell_px must be positive and finite")
     rows = -(-m // cols)
     px = cell_px / side
     width, height = cols * cell_px, rows * cell_px

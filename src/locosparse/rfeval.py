@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, EmptyHistogramError
+from .errors import ConfigError, LocosparseError
 from .gabor import fold_phase
 from .rng import CounterRng, derive_seed
 
@@ -41,7 +41,7 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed):
         Y = rng.normals(d * c).reshape(c, d).T
         X = np.asarray(respond(Y), dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != c:
-            raise ContractError(f"response block must be m x {c}, got {X.shape}")
+            raise ConfigError(f"response block must be m x {c}, got {X.shape}")
         if weighted is None:
             weighted = np.zeros((d, X.shape[0]))
             totals = np.zeros(X.shape[0])
@@ -72,7 +72,7 @@ def phase_histogram(params, num_bins):
     converged = [p for p in params if p.converged]
     excluded = len(params) - len(converged)
     if not converged:
-        raise EmptyHistogramError("no converged fits to bin")
+        raise LocosparseError("no converged fits to bin")
     edges = np.linspace(0.0, 90.0, num_bins + 1)
     width = 90.0 / num_bins
     counts = np.zeros(num_bins, dtype=np.int64)
@@ -90,9 +90,9 @@ def symmetry_score(hist):
     """
     n = int(hist.counts.size)
     if n == 0 or n % 2 != 0:
-        raise ContractError("symmetry score needs an even number of bins")
+        raise ConfigError("symmetry score needs an even number of bins")
     left = int(hist.counts[: n // 2].sum())
     right = int(hist.counts[n // 2:].sum())
     if max(left, right) == 0:
-        raise EmptyHistogramError("histogram carries no mass")
+        raise LocosparseError("histogram carries no mass")
     return min(left, right) / max(left, right)

@@ -9,7 +9,7 @@ derived by folding tags into the seed.
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -44,7 +44,7 @@ def derive_seed(seed, *parts):
         elif isinstance(part, int):
             acc = mix64((acc + _GOLDEN) & _MASK ^ (part & _MASK))
         else:
-            raise ContractError(
+            raise ConfigError(
                 f"seed parts must be int or str, got {type(part).__name__}")
     return acc
 
@@ -86,6 +86,6 @@ class CounterRng:
     def integers(self, n, bound):
         """n integers uniform on [0, bound) for 0 < bound < 2**31."""
         if not 0 < bound < (1 << 31):
-            raise ContractError(f"bound must be in (0, 2^31), got {bound}")
+            raise ConfigError(f"bound must be in (0, 2^31), got {bound}")
         hi = self._words(n) >> _U32
         return ((hi * np.uint64(bound)) >> _U32).astype(np.int64)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError
 
 # bound on the difference scratch of one atom block in pairwise_sq_distances
 _DIFF_SCRATCH_BYTES = 256 * 2**10
@@ -16,9 +16,9 @@ def project_simplex(x):
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
-        raise ContractError("project_simplex expects a non-empty vector")
+        raise ConfigError("project_simplex expects a non-empty vector")
     if not np.all(np.isfinite(v)):
-        raise ContractError("project_simplex requires finite entries")
+        raise ConfigError("project_simplex requires finite entries")
     return project_columns(v[:, None])[:, 0]
 
 
@@ -38,9 +38,9 @@ def project_columns(X):
     """
     M = np.asarray(X, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] < 1:
-        raise ContractError("project_columns expects an m x n matrix with m >= 1")
+        raise ConfigError("project_columns expects an m x n matrix with m >= 1")
     if not np.all(np.isfinite(M)):
-        raise ContractError("project_columns requires finite entries")
+        raise ConfigError("project_columns requires finite entries")
     n, j = M.shape[1], np.arange(1, M.shape[0] + 1)
     u = np.negative(M.T, order="C")
     u.sort(axis=1)
@@ -76,7 +76,7 @@ def pairwise_sq_distances(A, Y):
     A = np.ascontiguousarray(A, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     if A.ndim != 2 or Y.ndim != 2 or A.shape[0] != Y.shape[0]:
-        raise ContractError(f"shape mismatch: A {A.shape} vs Y {Y.shape}")
+        raise ConfigError(f"shape mismatch: A {A.shape} vs Y {Y.shape}")
     (d, m), n = A.shape, Y.shape[1]
     block = max(1, _DIFF_SCRATCH_BYTES // (A.itemsize * max(d, 1) * max(n, 1)))
     D = np.empty((m, n))

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError, ValidationError
+from .errors import ConfigError, LocosparseError
 from .graphs import GraphLaplacian
 from .rng import CounterRng, derive_seed
 
@@ -20,10 +20,10 @@ class ClusterAssignment:
     def __post_init__(self):
         labels = np.asarray(self.labels)
         if labels.min() < 0 or labels.max() >= self.k:
-            raise ValidationError("cluster labels out of range")
+            raise LocosparseError("cluster labels out of range")
         sizes = np.bincount(labels, minlength=self.k)
         if np.any(sizes == 0):
-            raise ValidationError("every cluster must be non-empty")
+            raise LocosparseError("every cluster must be non-empty")
 
 
 def symmetric_eigendecomposition(M):
@@ -35,13 +35,13 @@ def symmetric_eigendecomposition(M):
     """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ContractError("matrix must be square")
+        raise ConfigError("matrix must be square")
     if np.abs(A - A.T).max() > 1e-10 * max(1.0, float(np.abs(A).max())):
-        raise ContractError("matrix must be symmetric")
+        raise ConfigError("matrix must be symmetric")
     try:
         return np.linalg.eigh((A + A.T) / 2.0)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        raise LocosparseError(f"eigendecomposition failed: {exc}") from exc
 
 
 def _kmeans(points, k, seed):

@@ -6,7 +6,7 @@ little-endian float64 in row-major order. Round trips are bit exact.
 
 `read_file` and `write_file` are the package's only file access: every
 other module reads and writes through them, so a failed access always
-raises StorageError naming the path.
+raises LocosparseError naming the path.
 """
 
 import math
@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, StorageError, ValidationError
+from .errors import LocosparseError
 
 _MAGIC = b"SCT1"
 _MAX_RANK = 4
@@ -25,9 +25,9 @@ def as_tensor(data):
     """Coerce to a contiguous float64 array obeying the layout rules."""
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.ndim > _MAX_RANK:
-        raise ValidationError(f"rank {arr.ndim} exceeds the maximum of {_MAX_RANK}")
+        raise LocosparseError(f"rank {arr.ndim} exceeds the maximum of {_MAX_RANK}")
     if any(e < 1 for e in arr.shape):
-        raise ValidationError(f"zero-length extent in shape {arr.shape}")
+        raise LocosparseError(f"zero-length extent in shape {arr.shape}")
     return arr
 
 
@@ -37,7 +37,7 @@ def read_file(path):
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from exc
+        raise LocosparseError(f"cannot read {path}: {exc}") from exc
 
 
 def write_file(path, data):
@@ -46,7 +46,7 @@ def write_file(path, data):
         with open(path, "wb") as fh:
             fh.write(data)
     except OSError as exc:
-        raise StorageError(f"cannot write {path}: {exc}") from exc
+        raise LocosparseError(f"cannot write {path}: {exc}") from exc
 
 
 def save_tensor(t, path):
@@ -64,23 +64,23 @@ def load_tensor(path):
 
 def _parse_sct(buf, path):
     if len(buf) < 5 or buf[:4] != _MAGIC:
-        raise FormatError(f"{path}: not an SCT1 tensor (bad magic)")
+        raise LocosparseError(f"{path}: not an SCT1 tensor (bad magic)")
     rank = buf[4]
     if rank > _MAX_RANK:
-        raise FormatError(f"{path}: rank {rank} exceeds the maximum of {_MAX_RANK}")
+        raise LocosparseError(f"{path}: rank {rank} exceeds the maximum of {_MAX_RANK}")
     offset = 5 + 8 * rank
     if len(buf) < offset:
-        raise FormatError(f"{path}: truncated extent table")
+        raise LocosparseError(f"{path}: truncated extent table")
     dims = struct.unpack_from(f"<{rank}Q", buf, 5)
     if any(d < 1 for d in dims):
-        raise FormatError(f"{path}: zero-length extent in {dims}")
+        raise LocosparseError(f"{path}: zero-length extent in {dims}")
     expected = 8 * math.prod(dims)
     actual = len(buf) - offset
     if actual != expected:
-        raise FormatError(f"{path}: payload holds {actual} bytes, expected {expected}")
+        raise LocosparseError(f"{path}: payload holds {actual} bytes, expected {expected}")
     data = np.frombuffer(buf, dtype="<f8", offset=offset)
     if not np.all(np.isfinite(data)):
-        raise ValidationError(f"{path}: payload contains non-finite values")
+        raise LocosparseError(f"{path}: payload contains non-finite values")
     return np.array(data, dtype=np.float64).reshape(dims)
 
 
@@ -106,23 +106,23 @@ def _parse_pgm(buf, path):
                 while pos < len(buf) and buf[pos] not in _WHITESPACE and buf[pos] != 0x23:
                     pos += 1
                 return buf[start:pos]
-        raise FormatError(f"{path}: truncated PGM header")
+        raise LocosparseError(f"{path}: truncated PGM header")
 
     if token() != b"P5":
-        raise FormatError(f"{path}: not a binary PGM (P5) file")
+        raise LocosparseError(f"{path}: not a binary PGM (P5) file")
     try:
         width, height, maxval = int(token()), int(token()), int(token())
     except ValueError as exc:
-        raise FormatError(f"{path}: malformed PGM header") from exc
+        raise LocosparseError(f"{path}: malformed PGM header") from exc
     if width < 1 or height < 1:
-        raise FormatError(f"{path}: bad PGM dimensions {width}x{height}")
+        raise LocosparseError(f"{path}: bad PGM dimensions {width}x{height}")
     if not 0 < maxval <= 255:
-        raise FormatError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
+        raise LocosparseError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
     pos += 1  # exactly one whitespace byte separates maxval from the raster
     need = width * height
     raster = buf[pos:pos + need]
     if len(raster) != need:
-        raise FormatError(f"{path}: raster holds {len(raster)} bytes, expected {need}")
+        raise LocosparseError(f"{path}: raster holds {len(raster)} bytes, expected {need}")
     img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     return img.astype(np.float64) / maxval
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import EncoderConfig, encode
-from .errors import (ConfigError, ContractError, DivergenceError, FormatError,
-                     ValidationError)
+from .errors import ConfigError, LocosparseError
 from .patches import MIN_PATCH_SIDE, PatchSamplerConfig, sample_patches
 from .penalties import PenaltyConfig
 from .rng import CounterRng, derive_seed
@@ -31,11 +30,11 @@ class Dictionary:
 
     def __post_init__(self):
         if self.atoms.ndim != 2 or self.atoms.shape[0] != self.patch_side ** 2:
-            raise ContractError(
+            raise ConfigError(
                 f"atoms must be {self.patch_side ** 2} x m for "
                 f"patch_side {self.patch_side}, got {self.atoms.shape}")
         if not np.all(np.isfinite(self.atoms)):
-            raise ValidationError("dictionary contains non-finite entries")
+            raise LocosparseError("dictionary contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class TrainedModel:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.loss_history)):
-            raise ValidationError("loss history contains non-finite values")
+            raise LocosparseError("loss history contains non-finite values")
 
 
 def init_dictionary(d, m, seed):
@@ -102,11 +101,11 @@ def dictionary_step(A, Y, X, penalty, lr, rng):
     X = np.asarray(X, dtype=np.float64)
     if (A.ndim != 2 or Y.ndim != 2 or X.ndim != 2 or A.shape[0] != Y.shape[0]
             or X.shape[0] != A.shape[1] or X.shape[1] != Y.shape[1]):
-        raise ContractError(f"shape mismatch: A {A.shape}, Y {Y.shape}, X {X.shape}")
+        raise ConfigError(f"shape mismatch: A {A.shape}, Y {Y.shape}, X {X.shape}")
     b = Y.shape[1]
     grad = penalty.atom_gradient(A, Y, X)
     if not np.all(np.isfinite(grad)):
-        raise DivergenceError("non-finite dictionary gradient")
+        raise LocosparseError("non-finite dictionary gradient")
     out = A - (lr / b) * grad
     norms = np.sqrt((out * out).sum(axis=0))
     alive = norms >= _DEAD_NORM
@@ -184,32 +183,32 @@ def load_model(prefix):
     try:
         text = read_file(path).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise LocosparseError(f"{path}: not UTF-8 text: {exc}") from exc
     meta = {}
     for line in text.splitlines():
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise FormatError(f"{path}: malformed line {line!r}")
+            raise LocosparseError(f"{path}: malformed line {line!r}")
         meta[key] = value
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
-        raise FormatError(f"{path}: missing keys {missing}")
+        raise LocosparseError(f"{path}: missing keys {missing}")
     try:
         meta["lambda"] = float(meta["lambda"])
         for key in _META_INT_KEYS:
             meta[key] = int(meta[key])
     except ValueError as exc:
-        raise FormatError(f"{path}: malformed numeric value: {exc}") from exc
+        raise LocosparseError(f"{path}: malformed numeric value: {exc}") from exc
     try:
         meta["encoder"] = EncoderConfig(
             PenaltyConfig(meta["penalty"], meta["lambda"], meta["knn_k"]),
             meta["steps"], meta["momentum_mode"])
     except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        raise LocosparseError(f"{path}: {exc}") from exc
     if atoms.ndim != 2 or atoms.shape[0] != meta["patch_side"] ** 2:
-        raise FormatError(
+        raise LocosparseError(
             f"{prefix}.sct holds {atoms.shape}, inconsistent with "
             f"patch_side {meta['patch_side']}")
     return Dictionary(atoms, meta["patch_side"]), meta

@@ -146,8 +146,8 @@ def gabor_grid_loop(flat, side, u0, v0, sigma0, thetas, freqs, phases, num_start
     """Score a Gabor start grid one (theta, f, phi) candidate at a time.
 
     Each candidate is rendered on the 2-D pixel grid, centred with
-    .mean(), and dotted with 1-D @, and a stable Python sort orders
-    them. Returns the (sse, amp) of every candidate in loop order and
+    .mean(), and dotted as an elementwise product and .sum(), and a
+    stable Python sort orders them. Returns the (sse, amp) of every candidate in loop order and
     the start vectors (amp, u0, v0, theta, sigma0, sigma0, f, phi) of
     the num_starts best.
     """
@@ -164,8 +164,8 @@ def gabor_grid_loop(flat, side, u0, v0, sigma0, thetas, freqs, phases, num_start
                                + vp * vp / (2.0 * sigma0 * sigma0)))
                 shape = (env * np.cos(2.0 * np.pi * f * up + phi)).ravel()
                 shape = shape - shape.mean()
-                denom = float(shape @ shape)
-                amp = float(shape @ flat) / denom if denom > 0.0 else 0.0
+                denom = float((shape * shape).sum())
+                amp = float((shape * flat).sum()) / denom if denom > 0.0 else 0.0
                 sse = float(((amp * shape - flat) ** 2).sum())
                 scores.append((sse, amp))
                 candidates.append((sse, amp, theta, f, phi))

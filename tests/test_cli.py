@@ -338,6 +338,28 @@ def test_render_rejects_non_2d_tensor(workspace):
     assert code == 2
 
 
+TRAIN_L1 = ["--penalty", "l1", "--patch-size", "4", "--epochs", "2"]
+
+
+@pytest.mark.parametrize("command, array", [
+    (["render", "--tensor"], np.arange(15.0).reshape(5, 3)),
+    (["train", *TRAIN_L1, "--data"], np.arange(400.0)),
+    (["train", *TRAIN_L1, "--data"], np.ones((16, 16, 2, 2))),
+    (["cluster", "--k", "2", "--mode", "bipartite", "--codes"],
+     np.array([[0.5, -0.1, 0.2], [0.3, 0.4, 0.1]])),
+], ids=["render-5x3", "train-1d", "train-4d", "cluster-bipartite-signed"])
+def test_tensor_the_command_cannot_use_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                  command, array):
+    # the library's own shape checks raise ConfigError, so these are usage
+    # errors without a check of their own in the CLI
+    data = tmp_path / "input.sct"
+    save_tensor(array, str(data))
+    code = entrypoint([*command, str(data), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "locosparse: error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_missing_data_file_returns_1(workspace, capsys):
     code = entrypoint(["train", "--data", str(workspace / "nope.sct"),
                        "--penalty", "l1", "--out", str(workspace / "n")])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from locosparse.errors import ContractError
+from locosparse.errors import ConfigError
 from locosparse.gabor import (GaborParams, canonical_vector, fold_phase,
                               gabor_fit, render_gabor, shape_metrics)
 from locosparse.gabor import (_GRID_FREQS, _GRID_PHASES, _GRID_THETAS, _NUM_STARTS,
@@ -254,13 +254,13 @@ def test_fit_at_the_sigma_floor_is_not_converged():
 
 
 def test_gabor_fit_input_contracts():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         gabor_fit(np.zeros((4, 5)))
     assert gabor_fit(np.zeros((8, 8))) == _unfit_params(8)
     for bad in (np.nan, np.inf):
         img = render_gabor(_params(), 16)
         img[3, 4] = bad
-        with pytest.raises(ContractError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             gabor_fit(img)
 
 
@@ -302,7 +302,7 @@ def test_shape_metrics():
     assert ny == pytest.approx(1.0)
     bad = GaborParams(1.0, 0, 0, 0, 2.0, 2.0, 0.2, 0.0, residual=0.9,
                       converged=False)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         shape_metrics(bad)
 
 

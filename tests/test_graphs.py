@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from locosparse import simplex
-from locosparse.errors import ConfigError, ContractError
+from locosparse.errors import ConfigError, LocosparseError
 from locosparse.graphs import (GraphLaplacian, bipartite_laplacian,
                                knn_adjacency, laplacian_from_adjacency)
 
@@ -85,8 +85,17 @@ def test_knn_rejects_bad_k():
         knn_adjacency(Y, 0)
     with pytest.raises(ConfigError):
         knn_adjacency(Y, 4)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         knn_adjacency(np.zeros(4), 1)
+
+
+def test_knn_overflowing_distances_fail_the_run():
+    # finite stimuli whose squared distances overflow are a numerical
+    # breakdown (exit 1), not a graph with self-loops
+    Y = np.arange(20.0).reshape(2, 10) * 1e306
+    with np.errstate(over="ignore"), pytest.raises(LocosparseError, match="overflow") as excinfo:
+        knn_adjacency(Y, 2)
+    assert excinfo.type is LocosparseError
 
 
 def test_laplacian_row_sums_and_psd_on_random_graphs():
@@ -114,16 +123,16 @@ def test_zero_eigenvalue_multiplicity_counts_components():
 
 
 def test_laplacian_from_adjacency_validation():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         laplacian_from_adjacency(np.zeros((2, 3)))
     asym = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         laplacian_from_adjacency(asym)
     loop = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         laplacian_from_adjacency(loop)
     negative = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         laplacian_from_adjacency(negative)
 
 
@@ -133,9 +142,9 @@ def test_graph_laplacian_contract_checks():
     assert isinstance(G, GraphLaplacian)
     assert G.num_vertices == 2
     assert np.array_equal(G.matrix, np.array([[2.0, -2.0], [-2.0, 2.0]]))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         GraphLaplacian(np.array([[1.0, 0.5], [0.5, 1.0]]))  # rows not zero
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         GraphLaplacian(np.array([[1.0, -1.0], [0.0, 0.0]]))  # asymmetric
 
 
@@ -152,7 +161,7 @@ def test_bipartite_laplacian_structure():
 
 
 def test_bipartite_laplacian_rejects_negative_codes():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         bipartite_laplacian(np.array([[0.5, -0.1], [0.5, 1.1]]))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         bipartite_laplacian(np.zeros(3))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from locosparse.errors import StorageError
+from locosparse.errors import LocosparseError
 from locosparse.manifest import _BLOCK, digest_file, fnv1a64, write_manifest
 
 from oracles import fnv1a64_bytewise
@@ -83,8 +83,9 @@ def test_digest_file_matches_in_memory_hash(tmp_path):
 
 
 def test_digest_file_missing_raises_storage_error(tmp_path):
-    with pytest.raises(StorageError):
+    with pytest.raises(LocosparseError) as excinfo:
         digest_file(str(tmp_path / "nope.bin"))
+    assert excinfo.type is LocosparseError
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -151,6 +152,7 @@ def test_manifest_input_path_with_spaces(tmp_path):
 
 
 def test_write_manifest_unwritable_raises_storage_error(tmp_path):
-    with pytest.raises(StorageError):
+    with pytest.raises(LocosparseError) as excinfo:
         write_manifest(str(tmp_path / "no_dir" / "m.txt"), "cmd", {}, [], [], 0.0)
+    assert excinfo.type is LocosparseError
 

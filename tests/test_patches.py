@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from locosparse.errors import ConfigError, ContractError, ValidationError
+from locosparse.errors import ConfigError, LocosparseError
 from locosparse.patches import PatchSamplerConfig, StimulusBatch, sample_patches
 
 
@@ -89,14 +89,15 @@ def test_config_validation():
 
 
 def test_rank_errors():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         sample_patches(np.zeros(5), PatchSamplerConfig(2, 3, seed=0))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         sample_patches(np.zeros((2, 2, 2, 2)), PatchSamplerConfig(2, 3, seed=0))
 
 
 def test_stimulus_batch_contract():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         StimulusBatch(np.zeros((5, 4)), patch_side=2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(LocosparseError) as excinfo:
         StimulusBatch(np.full((4, 2), np.nan), patch_side=2)
+    assert excinfo.type is LocosparseError

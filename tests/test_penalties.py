@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from locosparse import penalties
-from locosparse.errors import ConfigError, ContractError
+from locosparse.errors import ConfigError
 from locosparse.graphs import knn_adjacency, laplacian_from_adjacency
 from locosparse.penalties import PenaltyConfig
 from locosparse.rng import CounterRng
@@ -88,9 +88,9 @@ def test_wl_code_gradient_batch_stacks_columns():
 
 def test_wl_code_gradient_shape_errors():
     for kind in ("l1", "wl"):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             PenaltyConfig(kind, 0.5).bind(np.zeros((4, 2)), np.zeros((3, 1)))
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             PenaltyConfig(kind, 0.5).bind(np.zeros((4, 2)), np.zeros(4))
 
 
@@ -149,7 +149,7 @@ def test_lap_code_gradient_matches_finite_differences():
 
 
 def test_lap_gradient_shape_errors():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         PenaltyConfig("lap", 0.5).bind(np.zeros((4, 2)), np.zeros((3, 6)))
     # the kNN graph needs more columns than knn_k
     with pytest.raises(ConfigError):
@@ -168,7 +168,7 @@ def test_atom_gradient_is_zero_for_zero_codes():
 
 
 def test_wl_atom_gradient_shape_errors():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         dictionary_step(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((3, 3)),
                         PenaltyConfig("wl", 0.5), 1.0, CounterRng(0))
 

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from locosparse.errors import ContractError
+from locosparse.errors import ConfigError
 from locosparse.render import render_grid_svg
 
 _NS = "{http://www.w3.org/2000/svg}"
@@ -82,12 +82,12 @@ def test_fractional_pixel_sizes_are_formatted_compactly():
 
 
 def test_render_contract_errors():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         render_grid_svg(np.zeros(4), 1, 8.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         render_grid_svg(np.zeros((5, 2)), 1, 8.0)  # 5 not a perfect square
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         render_grid_svg(np.zeros((4, 2)), 0, 8.0)
     for cell in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             render_grid_svg(np.zeros((4, 2)), 1, cell)

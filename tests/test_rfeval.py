@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from locosparse import rfeval
-from locosparse.errors import (ConfigError, ContractError,
-                               EmptyHistogramError)
+from locosparse.errors import ConfigError, LocosparseError
 from locosparse.gabor import GaborParams
 from locosparse.rfeval import (PhaseHistogram, phase_histogram,
                                sta_receptive_fields, symmetry_score)
@@ -73,7 +72,7 @@ def test_sta_validates_hook_and_config():
 
     def bad_hook(Y):
         return np.zeros((3, Y.shape[1] + 1))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         sta_receptive_fields(bad_hook, 4, 10, seed=0)
 
 
@@ -106,10 +105,12 @@ def test_phase_histogram_excludes_nonconverged():
 
 
 def test_phase_histogram_empty_raises():
-    with pytest.raises(EmptyHistogramError):
+    with pytest.raises(LocosparseError) as excinfo:
         phase_histogram([_fit(10, converged=False)], 9)
-    with pytest.raises(EmptyHistogramError):
+    assert excinfo.type is LocosparseError
+    with pytest.raises(LocosparseError) as excinfo:
         phase_histogram([], 9)
+    assert excinfo.type is LocosparseError
 
 
 def test_phase_histogram_bin_validation():
@@ -128,12 +129,13 @@ def test_symmetry_score_balance_values():
 
 def test_symmetry_score_needs_even_bins():
     hist = PhaseHistogram(np.linspace(0, 90, 4), np.array([1, 1, 1]))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         symmetry_score(hist)
 
 
 def test_symmetry_score_empty_histogram_raises():
     hist = PhaseHistogram(np.linspace(0, 90, 3), np.array([0, 0]))
-    with pytest.raises(EmptyHistogramError):
+    with pytest.raises(LocosparseError) as excinfo:
         symmetry_score(hist)
+    assert excinfo.type is LocosparseError
 

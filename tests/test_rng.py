@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locosparse.errors import ContractError
+from locosparse.errors import ConfigError
 from locosparse.rng import CounterRng, derive_seed, mix64
 
 
@@ -49,7 +49,7 @@ def test_derive_seed_string_vs_int_parts_differ():
 
 
 def test_derive_seed_rejects_unsupported_part_type():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         derive_seed(0, 1.5)
 
 
@@ -131,11 +131,11 @@ def test_integers_uniformity():
 
 def test_integers_bound_validation():
     rng = CounterRng(0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         rng.integers(4, 0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         rng.integers(4, -3)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         rng.integers(4, 2**31)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from locosparse import simplex
-from locosparse.errors import ContractError
+from locosparse.errors import ConfigError
 from locosparse.simplex import (pairwise_sq_distances, project_columns,
                                 project_simplex)
 
@@ -65,13 +65,13 @@ def test_projection_single_coordinate():
 
 
 def test_projection_rejects_bad_input():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         project_simplex(np.zeros((2, 2)))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         project_simplex(np.array([]))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         project_simplex(np.array([1.0, np.nan]))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         project_simplex(np.array([np.inf, 0.0]))
 
 
@@ -126,9 +126,9 @@ def test_column_projection_of_entries_above_2_53():
 
 
 def test_column_projection_rejects_bad_input():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         project_columns(np.zeros(3))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         project_columns(np.array([[np.nan, 1.0]]))
 
 
@@ -151,7 +151,7 @@ def test_pairwise_distances_exact_zero_for_identical_columns():
 
 
 def test_pairwise_distances_shape_errors():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         pairwise_sq_distances(np.zeros((3, 2)), np.zeros((4, 2)))
 
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from locosparse.errors import (ConfigError, ContractError, NumericalError,
-                               ValidationError)
+from locosparse.errors import ConfigError, LocosparseError
 from locosparse.graphs import bipartite_laplacian, laplacian_from_adjacency
 from locosparse.spectral import (ClusterAssignment, spectral_cluster,
                                  symmetric_eigendecomposition)
@@ -55,9 +54,9 @@ def test_eigendecomposition_known_two_by_two():
 
 
 def test_eigendecomposition_input_validation():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         symmetric_eigendecomposition(np.zeros((2, 3)))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         symmetric_eigendecomposition(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
@@ -154,14 +153,17 @@ def test_spectral_cluster_k_validation():
 
 def test_cluster_assignment_validation():
     ClusterAssignment(np.array([0, 1, 0]), 2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(LocosparseError) as excinfo:
         ClusterAssignment(np.array([0, 2]), 2)
-    with pytest.raises(ValidationError):
+    assert excinfo.type is LocosparseError
+    with pytest.raises(LocosparseError) as excinfo:
         ClusterAssignment(np.array([0, 0]), 2)  # cluster 1 empty
+    assert excinfo.type is LocosparseError
 
 
 def test_eigendecomposition_failure_raises_numerical_error():
     # LAPACK reports no convergence on a non-finite matrix; the caller
-    # sees the package's NumericalError, not numpy's LinAlgError
-    with pytest.raises(NumericalError):
+    # sees the package's runtime failure, not numpy's LinAlgError
+    with pytest.raises(LocosparseError) as excinfo:
         symmetric_eigendecomposition(np.full((3, 3), np.nan))
+    assert excinfo.type is LocosparseError

@@ -8,7 +8,7 @@ import pytest
 
 import locosparse
 from locosparse import tensor
-from locosparse.errors import FormatError, StorageError, ValidationError
+from locosparse.errors import LocosparseError
 from locosparse.rng import CounterRng
 from locosparse.tensor import (as_tensor, load_image_stack, load_tensor,
                                read_pgm, save_tensor, write_file)
@@ -22,13 +22,15 @@ def test_as_tensor_promotes_lists():
 
 
 def test_as_tensor_rank_limit():
-    with pytest.raises(ValidationError):
+    with pytest.raises(LocosparseError) as excinfo:
         as_tensor(np.zeros((2, 2, 2, 2, 2)))
+    assert excinfo.type is LocosparseError
 
 
 def test_as_tensor_rejects_empty_extent():
-    with pytest.raises(ValidationError):
+    with pytest.raises(LocosparseError) as excinfo:
         as_tensor(np.zeros((3, 0)))
+    assert excinfo.type is LocosparseError
 
 
 def test_save_writes_documented_byte_layout(tmp_path):
@@ -71,58 +73,66 @@ def test_roundtrip_preserves_negative_zero(tmp_path):
 
 
 def test_load_missing_file_raises_storage_error(tmp_path):
-    with pytest.raises(StorageError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_tensor(tmp_path / "absent.sct")
+    assert excinfo.type is LocosparseError
 
 
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.sct"
     path.write_bytes(b"NOPE" + bytes(16))
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_tensor(path)
+    assert excinfo.type is LocosparseError
 
 
 def test_load_rejects_excessive_rank(tmp_path):
     path = tmp_path / "r9.sct"
     path.write_bytes(b"SCT1" + struct.pack("<B", 9))
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_tensor(path)
+    assert excinfo.type is LocosparseError
 
 
 def test_load_rejects_truncated_extents(tmp_path):
     path = tmp_path / "tr.sct"
     path.write_bytes(b"SCT1" + struct.pack("<B", 2) + struct.pack("<Q", 3))
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_tensor(path)
+    assert excinfo.type is LocosparseError
 
 
 def test_load_rejects_zero_extent(tmp_path):
     path = tmp_path / "z.sct"
     path.write_bytes(b"SCT1" + struct.pack("<B", 1) + struct.pack("<Q", 0))
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_tensor(path)
+    assert excinfo.type is LocosparseError
 
 
 def test_payload_mismatch_message_names_both_sizes(tmp_path):
     path = tmp_path / "short.sct"
     header = b"SCT1" + struct.pack("<B", 1) + struct.pack("<Q", 3)
     path.write_bytes(header + struct.pack("<2d", 1.0, 2.0))
-    with pytest.raises(FormatError) as err:
+    with pytest.raises(LocosparseError) as excinfo:
         load_tensor(path)
-    assert "16" in str(err.value)
-    assert "24" in str(err.value)
+    assert excinfo.type is LocosparseError
+    assert "16" in str(excinfo.value)
+    assert "24" in str(excinfo.value)
 
 
 def test_load_rejects_non_finite_payload(tmp_path):
     path = tmp_path / "nan.sct"
     header = b"SCT1" + struct.pack("<B", 1) + struct.pack("<Q", 2)
     path.write_bytes(header + struct.pack("<2d", 1.0, float("nan")))
-    with pytest.raises(ValidationError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_tensor(path)
+    assert excinfo.type is LocosparseError
     path2 = tmp_path / "inf.sct"
     path2.write_bytes(header + struct.pack("<2d", 1.0, float("inf")))
-    with pytest.raises(ValidationError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_tensor(path2)
+    assert excinfo.type is LocosparseError
 
 
 def _pgm_bytes(width, height, maxval, raster, header_sep=b"\n"):
@@ -159,29 +169,33 @@ def test_read_pgm_raster_may_start_with_whitespace_byte(tmp_path):
 def test_read_pgm_rejects_ascii_variant(tmp_path):
     path = tmp_path / "p2.pgm"
     path.write_bytes(b"P2\n2 2\n255\n1 2 3 4\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         read_pgm(path)
+    assert excinfo.type is LocosparseError
 
 
 def test_read_pgm_rejects_16_bit(tmp_path):
     path = tmp_path / "deep.pgm"
     path.write_bytes(_pgm_bytes(1, 1, 65535, bytes(2)))
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         read_pgm(path)
+    assert excinfo.type is LocosparseError
 
 
 def test_read_pgm_rejects_short_raster(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(_pgm_bytes(4, 4, 255, bytes(7)))
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         read_pgm(path)
+    assert excinfo.type is LocosparseError
 
 
 def test_read_pgm_rejects_truncated_header(tmp_path):
     path = tmp_path / "trunc.pgm"
     path.write_bytes(b"P5\n4")
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         read_pgm(path)
+    assert excinfo.type is LocosparseError
 
 
 def test_load_image_stack_sniffs_both_formats(tmp_path):
@@ -196,8 +210,9 @@ def test_load_image_stack_sniffs_both_formats(tmp_path):
 
 
 def test_load_image_stack_missing_file(tmp_path):
-    with pytest.raises(StorageError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_image_stack(tmp_path / "nope.bin")
+    assert excinfo.type is LocosparseError
 
 
 def test_load_image_stack_reads_its_file_once(tmp_path, monkeypatch):
@@ -220,10 +235,12 @@ def test_load_image_stack_reads_its_file_once(tmp_path, monkeypatch):
 
 def test_failed_access_names_the_path(tmp_path):
     absent = tmp_path / "nodir" / "x.sct"
-    with pytest.raises(StorageError, match=re.escape(f"cannot read {absent}: ")):
+    with pytest.raises(LocosparseError, match=re.escape(f"cannot read {absent}: ")) as excinfo:
         load_tensor(absent)
-    with pytest.raises(StorageError, match=re.escape(f"cannot write {absent}: ")):
+    assert excinfo.type is LocosparseError
+    with pytest.raises(LocosparseError, match=re.escape(f"cannot write {absent}: ")) as excinfo:
         write_file(absent, b"")
+    assert excinfo.type is LocosparseError
 
 
 def test_only_tensor_calls_open():

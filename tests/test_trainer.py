@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locosparse.errors import ConfigError, ContractError, FormatError, StorageError
+from locosparse.errors import ConfigError, LocosparseError
 from locosparse.penalties import PenaltyConfig
 from locosparse.rng import CounterRng, derive_seed
 from locosparse.trainer import (Dictionary, TrainConfig, dictionary_step,
@@ -195,8 +195,9 @@ def test_meta_file_key_order_is_stable(tmp_path, small_image):
 
 
 def test_load_model_missing_file(tmp_path):
-    with pytest.raises(StorageError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_model(str(tmp_path / "absent"))
+    assert excinfo.type is LocosparseError
 
 
 def test_load_model_rejects_missing_keys(tmp_path, small_image):
@@ -208,8 +209,9 @@ def test_load_model_rejects_missing_keys(tmp_path, small_image):
     meta_path.write_text(
         "\n".join(ln for ln in lines if not ln.startswith("penalty=")) + "\n",
         encoding="utf-8")
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_model(prefix)
+    assert excinfo.type is LocosparseError
 
 
 def test_load_model_rejects_bad_numeric(tmp_path, small_image):
@@ -219,8 +221,9 @@ def test_load_model_rejects_bad_numeric(tmp_path, small_image):
     meta_path = Path(f"{prefix}.meta")
     text = meta_path.read_text(encoding="utf-8").replace("epochs=1", "epochs=one")
     meta_path.write_text(text, encoding="utf-8")
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_model(prefix)
+    assert excinfo.type is LocosparseError
 
 
 def test_load_model_rejects_inconsistent_shape(tmp_path, small_image):
@@ -230,8 +233,9 @@ def test_load_model_rejects_inconsistent_shape(tmp_path, small_image):
     meta_path = Path(f"{prefix}.meta")
     text = meta_path.read_text(encoding="utf-8").replace("patch_side=4", "patch_side=5")
     meta_path.write_text(text, encoding="utf-8")
-    with pytest.raises(FormatError):
+    with pytest.raises(LocosparseError) as excinfo:
         load_model(prefix)
+    assert excinfo.type is LocosparseError
 
 
 def test_train_config_validation():
@@ -252,5 +256,5 @@ def test_train_config_validation():
 
 
 def test_dictionary_contract():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         Dictionary(np.zeros((15, 3)), patch_side=4)
