@@ -58,7 +58,6 @@ def build_parser():
     p.add_argument("--epochs", type=_at_least(int, 0), default=200)
     p.add_argument("--batch-size", type=_at_least(int, 1), default=100)
     p.add_argument("--knn-k", type=_at_least(int, 1), default=4)
-    p.add_argument("--lr", type=_at_least(float, 0.0, strict=True), default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--standardize", action="store_true",
                    help="zero-mean and unit-norm each sampled patch")
@@ -130,17 +129,16 @@ def _cmd_train(args):
         momentum_mode=args.momentum,
         epochs=args.epochs,
         batch_size=args.batch_size,
-        dict_learning_rate=args.lr,
         seed=args.seed,
         standardize=args.standardize,
     )
     model = train(images, cfg)
-    save_model(model, args.out)
+    model_paths = save_model(model, args.out)
     loss_path = f"{args.out}.loss.csv"
     _write_lines(loss_path, ["batch,loss", *(
         f"{i},{_fmt_float(value)}" for i, value in enumerate(model.loss_history))])
-    print(f"trained {args.penalty} dictionary with {args.num_atoms} atoms: {args.out}.sct")
-    return [args.data], [f"{args.out}.sct", f"{args.out}.meta", loss_path]
+    print(f"trained {args.penalty} dictionary with {args.num_atoms} atoms: {model_paths[0]}")
+    return [args.data], [*model_paths, loss_path]
 
 
 def _cmd_eval(args):

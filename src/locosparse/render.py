@@ -36,12 +36,15 @@ def render_grid_svg(matrix, cols, cell_px):
     for idx in range(m):
         tile = M[:, idx].reshape(side, side)
         lo, hi = float(tile.min()), float(tile.max())
+        # a power-of-two scale is exact; 2**-9 keeps 255 * (hi - lo) finite for
+        # any finite tile, and a tile whose range needs no scaling keeps scale 1
+        s = 1.0 if 255.0 * (hi - lo) < math.inf else 2.0 ** -9
         x0 = (idx % cols) * cell_px
         y0 = (idx // cols) * cell_px
         for r in range(side):
             for c in range(side):
                 if hi > lo:
-                    level = int(round(255.0 * (tile[r, c] - lo) / (hi - lo)))
+                    level = int(round(255.0 * (s * tile[r, c] - s * lo) / (s * hi - s * lo)))
                 else:
                     level = 128
                 parts.append(

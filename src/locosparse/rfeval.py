@@ -64,7 +64,8 @@ class PhaseHistogram:
 def phase_histogram(params, num_bins):
     """Histogram the folded phases of converged fits over [0, 90] degrees.
 
-    Interior bins are right-open; the last bin includes 90. Fits that
+    Interior bins are right-open; the last bin includes 90. A phase is
+    counted against the bin edges it is written with. Fits that
     did not converge are excluded and reported in the excluded field.
     """
     if num_bins < 2:
@@ -73,12 +74,8 @@ def phase_histogram(params, num_bins):
     excluded = len(params) - len(converged)
     if not converged:
         raise LocosparseError("no converged fits to bin")
-    edges = np.linspace(0.0, 90.0, num_bins + 1)
-    width = 90.0 / num_bins
-    counts = np.zeros(num_bins, dtype=np.int64)
-    for p in converged:
-        idx = min(int(fold_phase(p.phase) // width), num_bins - 1)
-        counts[idx] += 1
+    counts, edges = np.histogram([fold_phase(p.phase) for p in converged], num_bins,
+                                 (0.0, 90.0))
     return PhaseHistogram(edges, counts, excluded)
 
 

@@ -6,7 +6,6 @@ by column renormalization. Atoms that lose their norm or receive no
 activation in a batch are redrawn from the seeded generator.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,6 @@ class TrainConfig:
     momentum_mode: str = "aswritten"
     epochs: int = 200
     batch_size: int = 100
-    dict_learning_rate: float = 1.0
     seed: int = 0
     standardize: bool = False
 
@@ -58,8 +56,6 @@ class TrainConfig:
         self.encoder_config()  # validates steps and momentum_mode
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
-        if not (math.isfinite(self.dict_learning_rate) and self.dict_learning_rate > 0):
-            raise ConfigError("dict_learning_rate must be finite and positive")
 
     def encoder_config(self):
         return EncoderConfig(self.penalty, self.steps, self.momentum_mode)
@@ -141,42 +137,45 @@ def train(images, cfg):
         Y = batch.patches
         X, objective = encode(Y, atoms, encoder)
         losses[batch_idx] = objective / cfg.batch_size
-        atoms, redrawn = dictionary_step(atoms, Y, X, cfg.penalty,
-                                         cfg.dict_learning_rate, reinit_rng)
+        atoms, redrawn = dictionary_step(atoms, Y, X, cfg.penalty, 1.0, reinit_rng)
         if redrawn:
             reinit_events.append((batch_idx, tuple(redrawn)))
     return TrainedModel(Dictionary(atoms, cfg.patch_side), cfg, losses, reinit_events)
 
 
-_META_KEYS = ("penalty", "lambda", "patch_side", "steps", "momentum_mode",
-              "seed", "epochs", "batch_size", "knn_k")
-_META_INT_KEYS = ("patch_side", "steps", "seed", "epochs", "batch_size", "knn_k")
+# The .meta file, one key=value line each in this order: the key, the parser
+# that reads the value back, and the TrainConfig value it records. num_atoms
+# is not stored, it is the atom count of the .sct.
+_META = (
+    ("penalty", str, lambda cfg: cfg.penalty.kind),
+    ("lambda", float, lambda cfg: cfg.penalty.lam),
+    ("patch_side", int, lambda cfg: cfg.patch_side),
+    ("steps", int, lambda cfg: cfg.steps),
+    ("momentum_mode", str, lambda cfg: cfg.momentum_mode),
+    ("seed", int, lambda cfg: cfg.seed),
+    ("epochs", int, lambda cfg: cfg.epochs),
+    ("batch_size", int, lambda cfg: cfg.batch_size),
+    ("knn_k", int, lambda cfg: cfg.penalty.knn_k),
+)
 
 
 def save_model(model, prefix):
-    """Write <prefix>.sct (the atoms) and <prefix>.meta (key=value lines)."""
-    save_tensor(model.dictionary.atoms, f"{prefix}.sct")
-    cfg = model.config
-    values = {
-        "penalty": cfg.penalty.kind,
-        "lambda": repr(float(cfg.penalty.lam)),
-        "patch_side": str(cfg.patch_side),
-        "steps": str(cfg.steps),
-        "momentum_mode": cfg.momentum_mode,
-        "seed": str(cfg.seed),
-        "epochs": str(cfg.epochs),
-        "batch_size": str(cfg.batch_size),
-        "knn_k": str(cfg.penalty.knn_k),
-    }
-    text = "".join(f"{key}={values[key]}\n" for key in _META_KEYS)
-    write_file(f"{prefix}.meta", text.encode("utf-8"))
+    """Write <prefix>.sct (the atoms) and <prefix>.meta (key=value lines);
+    return the two paths."""
+    paths = f"{prefix}.sct", f"{prefix}.meta"
+    save_tensor(model.dictionary.atoms, paths[0])
+    # a value written as its parser reads it: repr(float) for lambda
+    text = "".join(f"{key}={parse(value(model.config))}\n" for key, parse, value in _META)
+    write_file(paths[1], text.encode("utf-8"))
+    return paths
 
 
 def load_model(prefix):
     """Read back (Dictionary, meta dict) as written by save_model.
 
-    Besides the parsed values, meta["encoder"] holds the EncoderConfig
-    they describe; a value no config accepts makes the file corrupt.
+    The meta dict holds the parsed values, and meta["encoder"] the
+    EncoderConfig of the TrainConfig they describe. A value that a new
+    TrainConfig would reject makes the file corrupt.
     """
     atoms = load_tensor(f"{prefix}.sct")
     path = f"{prefix}.meta"
@@ -184,31 +183,34 @@ def load_model(prefix):
         text = read_file(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LocosparseError(f"{path}: not UTF-8 text: {exc}") from exc
-    meta = {}
+    raw = {}
     for line in text.splitlines():
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise LocosparseError(f"{path}: malformed line {line!r}")
-        meta[key] = value
-    missing = [key for key in _META_KEYS if key not in meta]
+        raw[key] = value
+    missing = [key for key, _, _ in _META if key not in raw]
     if missing:
         raise LocosparseError(f"{path}: missing keys {missing}")
     try:
-        meta["lambda"] = float(meta["lambda"])
-        for key in _META_INT_KEYS:
-            meta[key] = int(meta[key])
+        meta = {key: parse(raw[key]) for key, parse, _ in _META}
     except ValueError as exc:
         raise LocosparseError(f"{path}: malformed numeric value: {exc}") from exc
+    # the stored values pass the checks of a new run, num_atoms read from the
+    # atoms; only then is a shape that disagrees with them the fault of the
+    # .sct (Dictionary also rejects one that is not 2-D, a scalar included)
+    fields = dict(meta)
     try:
-        meta["encoder"] = EncoderConfig(
-            PenaltyConfig(meta["penalty"], meta["lambda"], meta["knn_k"]),
-            meta["steps"], meta["momentum_mode"])
+        penalty = PenaltyConfig(*(fields.pop(key) for key in ("penalty", "lambda", "knn_k")))
+        cfg = TrainConfig(num_atoms=atoms.shape[-1] if atoms.ndim else 1, penalty=penalty,
+                          **fields)
     except ConfigError as exc:
         raise LocosparseError(f"{path}: {exc}") from exc
-    if atoms.ndim != 2 or atoms.shape[0] != meta["patch_side"] ** 2:
-        raise LocosparseError(
-            f"{prefix}.sct holds {atoms.shape}, inconsistent with "
-            f"patch_side {meta['patch_side']}")
-    return Dictionary(atoms, meta["patch_side"]), meta
+    try:
+        dictionary = Dictionary(atoms, cfg.patch_side)
+    except ConfigError as exc:
+        raise LocosparseError(f"{prefix}.sct: {exc}") from exc
+    meta["encoder"] = cfg.encoder_config()
+    return dictionary, meta

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from locosparse import penalties
+from locosparse import penalties, trainer
 from locosparse.cli import build_parser, entrypoint
 from locosparse.gabor import GaborParams, render_gabor
 from locosparse.manifest import digest_file
@@ -120,6 +120,32 @@ def test_eval_from_sta_responses(workspace, gabor_model):
                    for ln in (workspace / "sta.summary.txt").read_text().splitlines())
     assert summary["source"] == "sta"
     assert int(summary["converged"]) == 4
+
+
+def test_train_standardize_reaches_every_batch(tmp_path, monkeypatch):
+    # a constant left half gives constant patches; the right half is textured
+    image = np.full((24, 24), 0.5)
+    image[:, 12:] = dead_leaves_image(side=24, num_discs=30, seed=5)[:, 12:]
+    save_tensor(image, str(tmp_path / "half.sct"))
+    batches = []
+    real_encode = trainer.encode
+
+    def recording_encode(Y, A, cfg):
+        batches.append(Y.copy())
+        return real_encode(Y, A, cfg)
+
+    monkeypatch.setattr(trainer, "encode", recording_encode)
+    out = tmp_path / "std"
+    assert entrypoint(["train", "--data", str(tmp_path / "half.sct"), *TRAIN_ARGS,
+                       "--standardize", "--out", str(out)]) == 0
+    assert len(batches) == 6
+    Y = np.concatenate(batches, axis=1)
+    constant = np.all(Y == 0.0, axis=0)
+    assert 0 < constant.sum() < Y.shape[1]
+    live = Y[:, ~constant]
+    assert np.allclose(live.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(live, axis=0), 1.0, atol=1e-12)
+    assert "config.standardize=True" in (tmp_path / "std.manifest.txt").read_text().splitlines()
 
 
 def test_trained_knn_k_reaches_every_lap_graph(workspace, monkeypatch):
@@ -253,7 +279,6 @@ def test_non_positive_numeric_flag_exits_2():
                 "render": ["--tensor", "x.sct"]}
     bad = {"train": [["--num-atoms", "0"], ["--patch-size", "1"],
                      ["--lambda", "nan"], ["--lambda", "inf"], ["--lambda", "-0.1"],
-                     ["--lr", "nan"], ["--lr", "inf"], ["--lr", "0"],
                      ["--epochs", "-1"], ["--steps", "0"], ["--batch-size", "0"],
                      ["--knn-k", "0"]],
            "eval": [["--bins", "1"], ["--samples", "0"]],
@@ -406,7 +431,9 @@ def test_non_utf8_meta_exits_1_without_traceback(gabor_model, tmp_path, capsys, 
 
 @pytest.mark.parametrize("source", ["sta", "atoms"])
 @pytest.mark.parametrize("key, bad", [("penalty", "l7"), ("steps", "0"),
-                                      ("lambda", "nan"), ("momentum_mode", "turbo")])
+                                      ("lambda", "nan"), ("momentum_mode", "turbo"),
+                                      ("epochs", "-3"), ("batch_size", "0"),
+                                      ("patch_side", "-8"), ("patch_side", "1")])
 def test_corrupt_meta_value_exits_1_and_writes_nothing(gabor_model, tmp_path, capsys,
                                                        source, key, bad):
     lines = gabor_model.with_suffix(".meta").read_text(encoding="utf-8").splitlines()

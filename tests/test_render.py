@@ -63,6 +63,19 @@ def test_each_tile_normalized_independently():
     assert left == right
 
 
+def test_tile_range_past_the_float_maximum_renders():
+    # hi - lo of the first tile overflows to inf, and 255 * (hi - lo) of the
+    # second does; both tiles show the same pattern as its small-scale copy
+    M = np.array([[2.0 ** 1023, -2.0 ** 1023, 0.0, 0.0],
+                  [2.0 ** 1020, 0.0, 2.0 ** 1019, 0.0]]).T
+    _, rects = _rects(render_grid_svg(M, cols=2, cell_px=2.0))
+    fills = [r.get("fill") for r in rects]
+    assert fills == ["#ffffff", "#000000", "#808080", "#808080",
+                     "#ffffff", "#000000", "#808080", "#000000"]
+    small = render_grid_svg(M * 2.0 ** -1000, cols=2, cell_px=2.0)
+    assert [r.get("fill") for r in _rects(small)[1]] == fills
+
+
 def test_tile_placement_by_column_index():
     M = np.zeros((4, 3))
     svg = render_grid_svg(M, cols=2, cell_px=10.0)

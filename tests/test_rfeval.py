@@ -7,7 +7,7 @@ import pytest
 
 from locosparse import rfeval
 from locosparse.errors import ConfigError, LocosparseError
-from locosparse.gabor import GaborParams
+from locosparse.gabor import GaborParams, fold_phase
 from locosparse.rfeval import (PhaseHistogram, phase_histogram,
                                sta_receptive_fields, symmetry_score)
 
@@ -95,6 +95,16 @@ def test_phase_histogram_right_open_interior_bins():
     # a fold sitting exactly on an interior edge belongs to the upper bin
     hist = phase_histogram([_fit(10.0)], 9)
     assert hist.counts.tolist() == [0, 1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_phase_histogram_counts_against_the_written_edges():
+    # this phase folds to exactly the linspace lower edge of bin 3 of 7,
+    # while its quotient by the bin width 90/7 falls just short of 3
+    phase = 0.6731984257692414
+    fit = GaborParams(1.0, 0, 0, 0, 2.0, 2.0, 0.2, phase, residual=0.1, converged=True)
+    hist = phase_histogram([fit], 7)
+    assert hist.bin_edges[3] == fold_phase(phase)
+    assert hist.counts.tolist() == [0, 0, 0, 1, 0, 0, 0]
 
 
 def test_phase_histogram_excludes_nonconverged():
