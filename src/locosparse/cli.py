@@ -197,10 +197,10 @@ def _cmd_cluster(args):
     else:
         graph = laplacian_from_adjacency(knn_adjacency(X, args.knn_k))
         sides = ["stimulus"] * X.shape[1]
-    assignment = spectral_cluster(graph, args.k, seed=args.seed)
+    labels = spectral_cluster(graph, args.k, seed=args.seed)
     _write_lines(args.out, ["vertex_id,side,label", *(
         f"{vid},{side_name},{int(label)}"
-        for vid, (side_name, label) in enumerate(zip(sides, assignment.labels)))])
+        for vid, (side_name, label) in enumerate(zip(sides, labels)))])
     return [args.codes], [args.out]
 
 

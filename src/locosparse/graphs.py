@@ -1,39 +1,9 @@
 """Graph construction and Laplacian assembly."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, LocosparseError
 from .simplex import pairwise_sq_distances
-
-
-@dataclass(frozen=True)
-class GraphLaplacian:
-    """Symmetric Laplacian D - W: zero row sums, non-positive off-diagonal.
-
-    The checks' tolerances scale with max(1, max |G|), so a graph and any
-    positive multiple of it pass or fail together.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        G = self.matrix
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise ConfigError("laplacian must be square")
-        scale = max(1.0, float(np.abs(G).max()))
-        if np.abs(G - G.T).max() > 1e-12 * scale:
-            raise ConfigError("laplacian must be symmetric")
-        if np.abs(G.sum(axis=1)).max() > 1e-10 * scale:
-            raise ConfigError("laplacian rows must sum to zero")
-        off = G - np.diag(np.diag(G))
-        if off.max() > 1e-12 * scale:
-            raise ConfigError("laplacian off-diagonal entries must be non-positive")
-
-    @property
-    def num_vertices(self):
-        return self.matrix.shape[0]
 
 
 def knn_adjacency(Y, k):
@@ -64,18 +34,14 @@ def knn_adjacency(Y, k):
 
 
 def laplacian_from_adjacency(W):
-    """D - W for a symmetric non-negative adjacency with zero diagonal."""
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ConfigError("adjacency must be square")
-    if np.abs(W - W.T).max() > 1e-12:
-        raise ConfigError("adjacency must be symmetric")
-    if np.any(np.diag(W) != 0.0):
-        raise ConfigError("adjacency diagonal must be zero")
-    if W.min() < 0.0:
-        raise ConfigError("adjacency weights must be non-negative")
-    G = np.diag(W.sum(axis=1)) - W
-    return GraphLaplacian(G)
+    """D - W as a plain array.
+
+    W must be a symmetric, non-negative float adjacency with a zero
+    diagonal; `knn_adjacency` and `bipartite_laplacian` build only such
+    a W, so nothing here checks it again. D - W then has zero row sums
+    and non-positive off-diagonal entries, and is exactly symmetric.
+    """
+    return np.diag(W.sum(axis=1)) - W
 
 
 def bipartite_laplacian(X):

@@ -79,7 +79,7 @@ class BatchObjective:
             self.D = pairwise_sq_distances(A, Y)
             self.lam_D = self.lam * self.D  # the code gradient's charge, formed once
         elif self.kind == "lap":
-            self.G = laplacian_from_adjacency(knn_adjacency(Y, penalty.knn_k)).matrix
+            self.G = laplacian_from_adjacency(knn_adjacency(Y, penalty.knn_k))
 
     def objective(self, X):
         """The objective summed over the batch."""

@@ -1,6 +1,7 @@
 """Grayscale filter-grid rendering to standalone SVG."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -25,6 +26,10 @@ def render_grid_svg(matrix, cols, cell_px):
     if cols < 1 or not (math.isfinite(cell_px) and cell_px > 0):
         raise ConfigError("cols and cell_px must be positive and finite")
     rows = -(-m // cols)
+    # an int past the float range compares exactly but cannot be multiplied
+    span = max(cols, rows)
+    if span > sys.float_info.max or not math.isfinite(span * cell_px):
+        raise ConfigError("canvas size cols * cell_px and rows * cell_px must be finite")
     px = cell_px / side
     width, height = cols * cell_px, rows * cell_px
     parts = [

@@ -1,29 +1,12 @@
 """LAPACK eigendecomposition and spectral clustering."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, LocosparseError
-from .graphs import GraphLaplacian
 from .rng import CounterRng, derive_seed
 
 _RESTARTS = 20
 _MAX_LLOYD_ITERS = 100
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    labels: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.min() < 0 or labels.max() >= self.k:
-            raise LocosparseError("cluster labels out of range")
-        sizes = np.bincount(labels, minlength=self.k)
-        if np.any(sizes == 0):
-            raise LocosparseError("every cluster must be non-empty")
 
 
 def symmetric_eigendecomposition(M):
@@ -87,17 +70,17 @@ def _first_appearance(labels):
 def spectral_cluster(G, k, seed=0):
     """Cluster vertices by k-means on the bottom-k eigenvector embedding.
 
-    Labels are numbered by first appearance in vertex order, so they do
-    not depend on how the eigensolver signs or rotates the basis of a
-    degenerate eigenspace.
+    Returns int64 labels numbered by first appearance in vertex order,
+    so they do not depend on how the eigensolver signs or rotates the
+    basis of a degenerate eigenspace. `symmetric_eigendecomposition`
+    checks G.
     """
-    if not isinstance(G, GraphLaplacian):
-        G = GraphLaplacian(np.asarray(G, dtype=np.float64))
-    p = G.num_vertices
+    p = len(G)
     if k < 1 or k > p:
         raise ConfigError(f"cluster count k={k} is below 1 or exceeds the vertex count {p}")
-    if k == 1:
-        return ClusterAssignment(np.zeros(p, dtype=np.int64), 1)
-    _, vectors = symmetric_eigendecomposition(G.matrix)
-    labels = _kmeans(vectors[:, :k], k, seed)
-    return ClusterAssignment(_first_appearance(labels).astype(np.int64), k)
+    _, vectors = symmetric_eigendecomposition(G)
+    labels = _first_appearance(_kmeans(vectors[:, :k], k, seed))
+    # k-means on duplicated points can leave a cluster empty
+    if labels.max() + 1 < k:
+        raise LocosparseError("every cluster must be non-empty")
+    return labels.astype(np.int64)

@@ -78,7 +78,7 @@ def test_criterion_02_analytic_gradients_match_finite_differences(capsys):
             Y = rng.normal(size=(d, n))
             X = rng.normal(size=(m, n))
             # the one graph bind builds: the k = 3 kNN Laplacian of the batch
-            G = laplacian_from_adjacency(knn_adjacency(Y, 3)).matrix
+            G = laplacian_from_adjacency(knn_adjacency(Y, 3))
             lam = float(rng.uniform(0.1, 2.0))
             y, x = Y[:, 0].copy(), X[:, 0].copy()
 
@@ -166,8 +166,7 @@ def test_criterion_05_knn_laplacian_invariants(capsys):
             rng = np.random.default_rng(2000 + i)
             b = int(rng.integers(6, 13))
             Y = rng.normal(size=(3, b))
-            G = laplacian_from_adjacency(knn_adjacency(Y, 4))
-            M = G.matrix
+            M = laplacian_from_adjacency(knn_adjacency(Y, 4))
             worst_row = max(worst_row, float(np.abs(M.sum(axis=1)).max()))
             evals = jacobi_eigenvalues_classical(M)
             worst_eig = min(worst_eig, float(evals.min()))
@@ -204,9 +203,9 @@ def test_criterion_06_spectral_clustering_recovers_components(capsys):
             rng = np.random.default_rng(1000 + i)
             X, blocks = _disconnected_block_codes(rng)
             G = bipartite_laplacian(X)
-            W = -(G.matrix - np.diag(np.diag(G.matrix)))
+            W = -(G - np.diag(np.diag(G)))
             truth = connected_components_bfs(W)
-            labels = spectral_cluster(G, blocks, seed=i).labels
+            labels = spectral_cluster(G, blocks, seed=i)
             want = {frozenset(np.flatnonzero(truth == c)) for c in set(truth)}
             got = {frozenset(np.flatnonzero(labels == c)) for c in set(labels)}
             exact += int(want == got)

@@ -355,6 +355,17 @@ def test_cluster_stimuli_knn_k_too_large_returns_2(workspace):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [["--cell", "1e308"], ["--cols", "1" + "0" * 400]],
+                         ids=["cell-1e308", "cols-1e400"])
+def test_render_canvas_overflow_exits_2_and_writes_nothing(workspace, flags, capsys):
+    out = workspace / "overflow.svg"
+    code = entrypoint(["render", "--tensor", str(workspace / "model.sct"),
+                       "--out", str(out), *flags])
+    assert code == 2
+    assert "locosparse: error:" in capsys.readouterr().err
+    assert list(workspace.glob("overflow.svg*")) == []
+
+
 def test_render_rejects_non_2d_tensor(workspace):
     vec = workspace / "vector1d.sct"
     save_tensor(np.arange(4.0), str(vec))

@@ -130,7 +130,7 @@ def test_lap_descent_with_supplied_graph():
     # curvature 2 lam lambda_max(G) as well; the encoder does not check this
     A, Y = _random_instance(77, n=12)
     lam = 0.1
-    G = laplacian_from_adjacency(knn_adjacency(Y, 4)).matrix
+    G = laplacian_from_adjacency(knn_adjacency(Y, 4))
     assert 2 * lam * np.linalg.eigvalsh(G)[-1] <= np.linalg.norm(A, 2) ** 2
     cfg = EncoderConfig(PenaltyConfig("lap", lam, knn_k=4), steps=15, momentum_mode="none")
     X, _ = encode(Y, A, cfg)
@@ -145,7 +145,7 @@ def test_l1_path_matches_handrolled_ista():
     # to the byte; the lap pull here uses G + G^T, so it rounds apart
     A, Y = _random_instance(5, d=12, m=9, n=7)
     lam = 0.4
-    G = laplacian_from_adjacency(knn_adjacency(Y, 4)).matrix
+    G = laplacian_from_adjacency(knn_adjacency(Y, 4))
     D = pairwise_sq_distances(A, Y)
     alpha = spectral_norm_sq_inv(A)
     for kind in KINDS:

@@ -5,8 +5,8 @@ import pytest
 
 from locosparse import simplex
 from locosparse.errors import ConfigError, LocosparseError
-from locosparse.graphs import (GraphLaplacian, bipartite_laplacian,
-                               knn_adjacency, laplacian_from_adjacency)
+from locosparse.graphs import (bipartite_laplacian, knn_adjacency,
+                               laplacian_from_adjacency)
 
 from oracles import connected_components_bfs, jacobi_eigenvalues_classical
 
@@ -103,7 +103,7 @@ def test_laplacian_row_sums_and_psd_on_random_graphs():
     for _ in range(25):
         b = int(rng.integers(5, 13))
         Y = rng.normal(size=(4, b))
-        G = laplacian_from_adjacency(knn_adjacency(Y, min(4, b - 1))).matrix
+        G = laplacian_from_adjacency(knn_adjacency(Y, min(4, b - 1)))
         assert np.abs(G.sum(axis=1)).max() < 1e-10
         evals = jacobi_eigenvalues_classical(G)
         assert evals[0] > -1e-9
@@ -115,43 +115,21 @@ def test_zero_eigenvalue_multiplicity_counts_components():
         b = int(rng.integers(6, 13))
         Y = rng.normal(size=(3, b))
         W = knn_adjacency(Y, 2)
-        G = laplacian_from_adjacency(W).matrix
+        G = laplacian_from_adjacency(W)
         evals = jacobi_eigenvalues_classical(G)
         zero_mult = int((np.abs(evals) < 1e-8).sum())
         components = connected_components_bfs(W)
         assert zero_mult == len(set(components))
 
 
-def test_laplacian_from_adjacency_validation():
-    with pytest.raises(ConfigError):
-        laplacian_from_adjacency(np.zeros((2, 3)))
-    asym = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ConfigError):
-        laplacian_from_adjacency(asym)
-    loop = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ConfigError):
-        laplacian_from_adjacency(loop)
-    negative = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    with pytest.raises(ConfigError):
-        laplacian_from_adjacency(negative)
-
-
-def test_graph_laplacian_contract_checks():
+def test_laplacian_from_adjacency_is_degree_minus_weights():
     W = np.array([[0.0, 2.0], [2.0, 0.0]])
-    G = laplacian_from_adjacency(W)
-    assert isinstance(G, GraphLaplacian)
-    assert G.num_vertices == 2
-    assert np.array_equal(G.matrix, np.array([[2.0, -2.0], [-2.0, 2.0]]))
-    with pytest.raises(ConfigError):
-        GraphLaplacian(np.array([[1.0, 0.5], [0.5, 1.0]]))  # rows not zero
-    with pytest.raises(ConfigError):
-        GraphLaplacian(np.array([[1.0, -1.0], [0.0, 0.0]]))  # asymmetric
+    assert np.array_equal(laplacian_from_adjacency(W), np.array([[2.0, -2.0], [-2.0, 2.0]]))
 
 
 def test_bipartite_laplacian_structure():
     X = np.array([[0.5, 0.0], [0.5, 1.0]])  # 2 atoms, 2 stimuli
-    G = bipartite_laplacian(X)
-    M = G.matrix
+    M = bipartite_laplacian(X)
     assert M.shape == (4, 4)
     # no within-side edges: atom-atom and stimulus-stimulus blocks are
     # diagonal (degrees only)

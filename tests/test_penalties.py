@@ -122,7 +122,7 @@ def test_lap_penalty_value_is_trace_form():
     A = rng.normal(size=(4, 3))
     Y = rng.normal(size=(4, 5))
     X = rng.normal(size=(3, 5))
-    G = laplacian_from_adjacency(knn_adjacency(Y, 2)).matrix
+    G = laplacian_from_adjacency(knn_adjacency(Y, 2))
     want = _fit(Y, A, X) + 0.9 * np.trace(X @ G @ X.T)
     assert PenaltyConfig("lap", 0.9, knn_k=2).bind(A, Y).objective(X) == pytest.approx(want)
 
@@ -137,7 +137,7 @@ def test_lap_code_gradient_matches_finite_differences():
         A = rng.normal(size=(d, m))
         Y = rng.normal(size=(d, n))
         X0 = rng.normal(size=(m, n))
-        G = laplacian_from_adjacency(knn_adjacency(Y, 1)).matrix
+        G = laplacian_from_adjacency(knn_adjacency(Y, 1))
 
         def objective(x_flat):
             X = x_flat.reshape(m, n)
@@ -189,5 +189,5 @@ def test_batch_graph_only_for_lap(monkeypatch):
     assert calls == []
     lap = PenaltyConfig("lap", 0.5, knn_k=3).bind(A, Y)
     assert calls == [3]
-    want = laplacian_from_adjacency(knn_adjacency(Y, 3)).matrix
+    want = laplacian_from_adjacency(knn_adjacency(Y, 3))
     assert np.array_equal(lap.G, want)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from locosparse import spectral
 from locosparse.errors import ConfigError, LocosparseError
 from locosparse.graphs import bipartite_laplacian, laplacian_from_adjacency
-from locosparse.spectral import (ClusterAssignment, spectral_cluster,
-                                 symmetric_eigendecomposition)
+from locosparse.spectral import spectral_cluster, symmetric_eigendecomposition
 
 from oracles import connected_components_bfs, jacobi_eigenvalues_classical
 
@@ -100,12 +100,12 @@ def test_disconnected_bipartite_components_recovered_exactly():
             continue
         X = _block_codes(rng, sizes)
         G = bipartite_laplacian(X)
-        W = -np.copy(G.matrix)
+        W = -np.copy(G)
         np.fill_diagonal(W, 0.0)
         truth = connected_components_bfs(W)
         k = len(set(truth))
         got = spectral_cluster(G, k, seed=0)
-        assert _partition(got.labels) == _partition(truth)
+        assert _partition(got) == _partition(truth)
 
 
 def test_spectral_cluster_two_cliques():
@@ -117,7 +117,7 @@ def test_spectral_cluster_two_cliques():
                 W[i + 3, j + 3] = 1.0
     G = laplacian_from_adjacency(W)
     got = spectral_cluster(G, 2, seed=1)
-    assert _partition(got.labels) == _partition([0, 0, 0, 1, 1, 1])
+    assert _partition(got) == _partition([0, 0, 0, 1, 1, 1])
 
 
 def test_spectral_cluster_labels_number_by_first_appearance():
@@ -131,15 +131,15 @@ def test_spectral_cluster_labels_number_by_first_appearance():
     G = laplacian_from_adjacency(W)
     for seed in range(4):
         got = spectral_cluster(G, 3, seed=seed)
-        assert got.labels.tolist() == [0, 1, 1, 0, 1, 2, 2]
+        assert got.tolist() == [0, 1, 1, 0, 1, 2, 2]
 
 
 def test_spectral_cluster_accepts_raw_matrix():
     W = np.array([[0.0, 1.0], [1.0, 0.0]])
     G = np.diag(W.sum(axis=1)) - W
     got = spectral_cluster(G, 1)
-    assert got.k == 1
-    assert np.array_equal(got.labels, np.zeros(2, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.zeros(2, dtype=np.int64))
 
 
 def test_spectral_cluster_k_validation():
@@ -151,13 +151,19 @@ def test_spectral_cluster_k_validation():
         spectral_cluster(G, 3)
 
 
-def test_cluster_assignment_validation():
-    ClusterAssignment(np.array([0, 1, 0]), 2)
-    with pytest.raises(LocosparseError) as excinfo:
-        ClusterAssignment(np.array([0, 2]), 2)
-    assert excinfo.type is LocosparseError
-    with pytest.raises(LocosparseError) as excinfo:
-        ClusterAssignment(np.array([0, 0]), 2)  # cluster 1 empty
+def test_spectral_cluster_rejects_non_square_matrix():
+    # k = 1 goes through the eigensolver's check like every other k
+    for k in (1, 2):
+        with pytest.raises(ConfigError, match="square"):
+            spectral_cluster(np.zeros((2, 3)), k)
+
+
+def test_spectral_cluster_rejects_an_empty_cluster(monkeypatch):
+    # k-means can return fewer than k labels when points coincide
+    W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    monkeypatch.setattr(spectral, "_kmeans", lambda points, k, seed: np.array([0, 0, 1]))
+    with pytest.raises(LocosparseError, match="non-empty") as excinfo:
+        spectral_cluster(laplacian_from_adjacency(W), 3)
     assert excinfo.type is LocosparseError
 
 
