@@ -11,6 +11,8 @@ import shlex
 import sys
 import time
 
+import numpy as np
+
 from .encoder import MOMENTUM_MODES, encode
 from .errors import ConfigError, LocosparseError
 from .gabor import fold_phase, gabor_fit, shape_metrics
@@ -155,19 +157,19 @@ def _cmd_eval(args):
         fields = sta_receptive_fields(respond, side, args.samples, args.seed)
 
     params = [gabor_fit(image) for image in fields]
-    # both histograms raise when no fit converged, so build them before
+    folded = np.array([fold_phase(p.phase) for p in params])
+    converged = np.array([p.converged for p in params], dtype=bool)
+    # the histogram raises when no fit converged, so build it before
     # writing any output: a failing eval writes nothing
-    hist = phase_histogram(params, args.bins)
-    # the balance score needs an even split at 45 degrees, so compute it
-    # from a two-bin histogram of the same fits
-    balance = symmetry_score(phase_histogram(params, 2))
+    counts, edges = phase_histogram(folded[converged], args.bins)
+    balance = symmetry_score(folded[converged])
 
     lines = ["neuron_id,K,u0,v0,theta_rad,sigma_x,sigma_y,freq,phase_rad,"
              "phase_folded_deg,n_x,n_y,residual,converged"]
     for j, p in enumerate(params):
         n_x, n_y = shape_metrics(p) if p.converged else (float("nan"), float("nan"))
         values = (p.amplitude, p.u0, p.v0, p.theta, p.sigma_x, p.sigma_y, p.freq,
-                  p.phase, fold_phase(p.phase), n_x, n_y, p.residual)
+                  p.phase, folded[j], n_x, n_y, p.residual)
         lines.append(",".join([str(j), *map(_fmt_float, values),
                                "true" if p.converged else "false"]))
     gabor_path = f"{args.out}.gabor.csv"
@@ -175,14 +177,15 @@ def _cmd_eval(args):
 
     phases_path = f"{args.out}.phases.csv"
     _write_lines(phases_path, ["bin_lo_deg,bin_hi_deg,count", *(
-        f"{_fmt_float(hist.bin_edges[i])},{_fmt_float(hist.bin_edges[i + 1])},"
-        f"{int(hist.counts[i])}" for i in range(hist.counts.size))])
+        f"{_fmt_float(edges[i])},{_fmt_float(edges[i + 1])},{int(counts[i])}"
+        for i in range(counts.size))])
 
-    converged_count = len(params) - hist.excluded
+    converged_count = int(converged.sum())
     summary_path = f"{args.out}.summary.txt"
     _write_lines(summary_path, [
         f"neurons={len(params)}", f"converged={converged_count}",
-        f"non_converged={hist.excluded}", f"symmetry_score={_fmt_float(balance)}",
+        f"non_converged={len(params) - converged_count}",
+        f"symmetry_score={_fmt_float(balance)}",
         f"source={args.source}", f"bins={args.bins}"])
 
     print(f"fitted {converged_count}/{len(params)} neurons: {gabor_path}")

@@ -26,27 +26,18 @@ class EncoderConfig:
     momentum_mode: str = "aswritten"
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError(f"steps must be positive, got {self.steps}")
-        if self.momentum_mode not in MOMENTUM_MODES:
-            raise ConfigError(
-                f"unknown momentum mode {self.momentum_mode!r}; "
-                f"expected one of {MOMENTUM_MODES}")
-
-
-@dataclass(frozen=True)
-class MomentumSchedule:
-    etas: np.ndarray    # eta(0) .. eta(T)
-    gammas: np.ndarray  # gamma(0) .. gamma(T-1)
+        momentum_schedule(self.steps, self.momentum_mode)
 
 
 def momentum_schedule(steps, mode):
     """Momentum coefficients for T steps, gamma(t) = (eta(t) - 1)/eta(t+1).
 
+    Returns (etas, gammas): eta(0) .. eta(T) and gamma(0) .. gamma(T-1).
     aswritten starts eta at 0 with 4*eta(t) under the root, which makes
     gamma(0) = -1 (the first lookahead resets to the origin) and
     gamma(1) = 0; fista is the standard schedule with eta(0) = 1 and
-    4*eta(t)^2 under the root; none holds every gamma at zero.
+    4*eta(t)^2 under the root; none holds every gamma at zero. This is
+    the one check of `steps` and the mode, which `EncoderConfig` runs.
     """
     if steps < 1:
         raise ConfigError(f"steps must be positive, got {steps}")
@@ -62,9 +53,8 @@ def momentum_schedule(steps, mode):
     elif mode == "none":
         etas[:] = 1.0
     else:
-        raise ConfigError(f"unknown momentum mode {mode!r}")
-    gammas = (etas[:-1] - 1.0) / etas[1:]
-    return MomentumSchedule(etas, gammas)
+        raise ConfigError(f"unknown momentum mode {mode!r}; expected one of {MOMENTUM_MODES}")
+    return etas, (etas[:-1] - 1.0) / etas[1:]
 
 
 def spectral_norm_sq_inv(A):
@@ -100,7 +90,7 @@ def encode(Y, A, cfg):
     pen = cfg.penalty.bind(A, Y)
 
     alpha = spectral_norm_sq_inv(A)
-    sched = momentum_schedule(cfg.steps, cfg.momentum_mode)
+    _, gammas = momentum_schedule(cfg.steps, cfg.momentum_mode)
 
     # each step overwrites the buffers it no longer reads: the gradient
     # becomes the step Z, and the previous codes become the lookahead
@@ -114,7 +104,7 @@ def encode(Y, A, cfg):
             raise LocosparseError(f"encoder gradient step {t} produced non-finite values")
         Xn = pen.prox(Z, alpha)
         lookahead = np.subtract(Xn, X, out=X)
-        lookahead *= sched.gammas[t]
+        lookahead *= gammas[t]
         lookahead += Xn
         X = Xn
     return X, pen.objective(X)

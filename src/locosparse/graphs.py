@@ -1,5 +1,7 @@
 """Graph construction and Laplacian assembly."""
 
+import sys
+
 import numpy as np
 
 from .errors import ConfigError, LocosparseError
@@ -49,7 +51,9 @@ def bipartite_laplacian(X):
 
     Vertices 0 .. m-1 are atoms, m .. m+n-1 are stimuli; there are no
     within-side edges. Simplex codes satisfy the non-negativity
-    requirement by construction.
+    requirement by construction. A degree (a row or column sum of X)
+    above half the float maximum raises `LocosparseError`, so every
+    eigenvalue of the Laplacian is finite.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -60,4 +64,10 @@ def bipartite_laplacian(X):
     W = np.zeros((m + n, m + n))
     W[:m, m:] = X
     W[m:, :m] = X.T
-    return laplacian_from_adjacency(W)
+    with np.errstate(over="ignore"):  # an overflowed degree is rejected below
+        L = laplacian_from_adjacency(W)
+    # by Gershgorin the eigenvalues of L reach up to twice its largest degree
+    if not np.diag(L).max() <= sys.float_info.max / 2:
+        raise LocosparseError("atom or stimulus degrees overflow: the largest must be "
+                              "at most half the float maximum")
+    return L

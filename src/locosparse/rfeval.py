@@ -1,11 +1,8 @@
 """Receptive-field estimation and spatial-phase statistics."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, LocosparseError
-from .gabor import fold_phase
 from .rng import CounterRng, derive_seed
 
 _DEAD_RESPONSE = 1e-9
@@ -54,42 +51,31 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed):
     return fields.reshape(totals.size, patch_side, patch_side)
 
 
-@dataclass(frozen=True)
-class PhaseHistogram:
-    bin_edges: np.ndarray  # degrees, length num_bins + 1
-    counts: np.ndarray     # one count per bin
-    excluded: int = 0      # non-converged fits that were skipped
+def phase_histogram(folded, num_bins):
+    """Histogram folded phases (degrees) over [0, 90]: numpy's (counts, bin_edges).
 
-
-def phase_histogram(params, num_bins):
-    """Histogram the folded phases of converged fits over [0, 90] degrees.
-
-    Interior bins are right-open; the last bin includes 90. A phase is
-    counted against the bin edges it is written with. Fits that
-    did not converge are excluded and reported in the excluded field.
+    `folded` holds the folded phases of the fits that count, the
+    converged ones. Interior bins are right-open; the last bin includes
+    90. A phase is counted against the bin edges it is written with.
     """
     if num_bins < 2:
         raise ConfigError(f"need at least 2 bins, got {num_bins}")
-    converged = [p for p in params if p.converged]
-    excluded = len(params) - len(converged)
-    if not converged:
+    if len(folded) == 0:
         raise LocosparseError("no converged fits to bin")
-    counts, edges = np.histogram([fold_phase(p.phase) for p in converged], num_bins,
-                                 (0.0, 90.0))
-    return PhaseHistogram(edges, counts, excluded)
+    return np.histogram(folded, num_bins, (0.0, 90.0))
 
 
-def symmetry_score(hist):
-    """Balance min(L, R) / max(L, R) of the mass below and above 45 degrees.
+def symmetry_score(folded):
+    """Balance min(L, R) / max(L, R) of folded phases below 45 degrees (L)
+    and at or above it (R).
 
-    1 means the two halves carry equal mass; values near 0 mean the
+    These are the two bins that `phase_histogram(folded, 2)` fills. 1
+    means the two halves carry equal mass; values near 0 mean the
     distribution is piled up on one side.
     """
-    n = int(hist.counts.size)
-    if n == 0 or n % 2 != 0:
-        raise ConfigError("symmetry score needs an even number of bins")
-    left = int(hist.counts[: n // 2].sum())
-    right = int(hist.counts[n // 2:].sum())
+    folded = np.asarray(folded)
+    left = int(np.count_nonzero(folded < 45.0))
+    right = int(np.count_nonzero(folded >= 45.0))
     if max(left, right) == 0:
-        raise LocosparseError("histogram carries no mass")
+        raise LocosparseError("no folded phases to score")
     return min(left, right) / max(left, right)

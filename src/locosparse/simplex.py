@@ -12,14 +12,10 @@ def project_simplex(x):
     """Euclidean projection of a vector onto {z : z >= 0, sum(z) = 1}.
 
     The single-column case of `project_columns`, so it runs the very
-    arithmetic the encoder does.
+    arithmetic the encoder does, and its checks: a matrix, an empty
+    vector, a scalar or a non-finite entry raises `ConfigError` there.
     """
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ConfigError("project_simplex expects a non-empty vector")
-    if not np.all(np.isfinite(v)):
-        raise ConfigError("project_simplex requires finite entries")
-    return project_columns(v[:, None])[:, 0]
+    return project_columns(np.asarray(x, dtype=np.float64)[..., None])[:, 0]
 
 
 def project_columns(X):

@@ -1,5 +1,7 @@
 """LAPACK eigendecomposition and spectral clustering."""
 
+import sys
+
 import numpy as np
 
 from .errors import ConfigError, LocosparseError
@@ -14,12 +16,17 @@ def symmetric_eigendecomposition(M):
 
     Returns (eigenvalues ascending, eigenvectors as matching columns).
     The input is symmetrized as (M + M^T) / 2 after a symmetry check
-    whose tolerance scales with max(1, max |M|).
+    whose tolerance scales with max(1, max |M|). Entries must be finite
+    and at most half the float maximum, so that M - M^T and M + M^T are.
     """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ConfigError("matrix must be square")
-    if np.abs(A - A.T).max() > 1e-10 * max(1.0, float(np.abs(A).max())):
+    scale = float(np.abs(A).max())
+    if not scale <= sys.float_info.max / 2:
+        raise LocosparseError("matrix entries overflow: they must be finite and at most "
+                              "half the float maximum")
+    if np.abs(A - A.T).max() > 1e-10 * max(1.0, scale):
         raise ConfigError("matrix must be symmetric")
     try:
         return np.linalg.eigh((A + A.T) / 2.0)

@@ -116,16 +116,15 @@ def test_criterion_02_analytic_gradients_match_finite_differences(capsys):
 
 def test_criterion_03_momentum_schedule_closed_forms(capsys):
     with _verdict(capsys, "criterion 3, momentum schedule closed forms") as info:
-        sched = momentum_schedule(15, "aswritten")
+        etas, gammas = momentum_schedule(15, "aswritten")
         golden = (1.0 + math.sqrt(5.0)) / 2.0
-        errors = [abs(sched.etas[0]), abs(sched.etas[1] - 1.0),
-                  abs(sched.etas[2] - golden),
-                  abs(sched.gammas[0] + 1.0), abs(sched.gammas[1])]
+        errors = [abs(etas[0]), abs(etas[1] - 1.0),
+                  abs(etas[2] - golden),
+                  abs(gammas[0] + 1.0), abs(gammas[1])]
         for t in range(15):
-            want = (1.0 + math.sqrt(1.0 + 4.0 * sched.etas[t])) / 2.0
-            errors.append(abs(sched.etas[t + 1] - want))
-            errors.append(abs(sched.gammas[t]
-                              - (sched.etas[t] - 1.0) / sched.etas[t + 1]))
+            want = (1.0 + math.sqrt(1.0 + 4.0 * etas[t])) / 2.0
+            errors.append(abs(etas[t + 1] - want))
+            errors.append(abs(gammas[t] - (etas[t] - 1.0) / etas[t + 1]))
         assert max(errors) < 1e-15
         info["detail"] = f"eta/gamma worst deviation {max(errors):.1e}"
 

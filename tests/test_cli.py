@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, output files, determinism."""
 
 import argparse
+import csv
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -120,6 +122,38 @@ def test_eval_from_sta_responses(workspace, gabor_model):
                    for ln in (workspace / "sta.summary.txt").read_text().splitlines())
     assert summary["source"] == "sta"
     assert int(summary["converged"]) == 4
+
+
+def test_eval_statistics_count_only_converged_fits(tmp_path):
+    # four clean Gabor atoms converge and two flat ones cannot; the phase
+    # counts and the balance score read the converged rows of .gabor.csv
+    side = 8
+    cols = [render_gabor(GaborParams(1.0, 3.5, 3.5, theta, 1.6, 1.6, 0.25, phase),
+                         side).reshape(-1)
+            for theta, phase in [(0.3, 0.0), (1.2, 0.3), (2.0, 0.5), (0.9, np.pi / 2)]]
+    cols += [np.full(side * side, 1.0 / side)] * 2
+    atoms = np.stack([c / np.linalg.norm(c) for c in cols], axis=1)
+    cfg = TrainConfig(num_atoms=6, patch_side=side,
+                      penalty=PenaltyConfig("wl", 0.05), epochs=0)
+    save_model(TrainedModel(Dictionary(atoms, side), cfg, np.zeros(0)), str(tmp_path / "m"))
+    assert entrypoint(["eval", "--model", str(tmp_path / "m"), "--source", "atoms",
+                       "--bins", "6", "--out", str(tmp_path / "e")]) == 0
+
+    with open(tmp_path / "e.gabor.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    folded = [float(r["phase_folded_deg"]) for r in rows if r["converged"] == "true"]
+    unconverged = sum(r["converged"] == "false" for r in rows)
+    assert len(folded) >= 1 and unconverged >= 1
+
+    counts = [int(ln.rsplit(",", 1)[1])
+              for ln in (tmp_path / "e.phases.csv").read_text().splitlines()[1:]]
+    summary = dict(ln.split("=", 1)
+                   for ln in (tmp_path / "e.summary.txt").read_text().splitlines())
+    assert sum(counts) == len(folded) == int(summary["converged"])
+    assert int(summary["non_converged"]) == unconverged
+    below = sum(f < 45.0 for f in folded)
+    above = len(folded) - below
+    assert float(summary["symmetry_score"]) == min(below, above) / max(below, above)
 
 
 def test_train_standardize_reaches_every_batch(tmp_path, monkeypatch):
@@ -364,6 +398,26 @@ def test_render_canvas_overflow_exits_2_and_writes_nothing(workspace, flags, cap
     assert code == 2
     assert "locosparse: error:" in capsys.readouterr().err
     assert list(workspace.glob("overflow.svg*")) == []
+
+
+@pytest.mark.parametrize("codes", [
+    [[1e308, 1e308, 0.0], [0.0, 0.5, 1e308]],
+    [[1e308, 0.5], [0.5, 1e308]],
+], ids=["degree-sum-overflows", "symmetrization-overflows"])
+def test_cluster_bipartite_overflow_exits_1_and_writes_nothing(tmp_path, capsys, codes):
+    # the first case's atom degree overflows; the second's degrees are
+    # finite, but above half the float maximum the eigenvalues can overflow
+    data = tmp_path / "codes.sct"
+    save_tensor(np.array(codes), str(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = entrypoint(["cluster", "--codes", str(data), "--k", "2",
+                           "--mode", "bipartite", "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("locosparse: error:") and "overflow" in err
+    assert list(tmp_path.iterdir()) == [data]
 
 
 def test_render_rejects_non_2d_tensor(workspace):

@@ -18,45 +18,45 @@ from oracles import jacobi_eigenvalues_classical, project_columns_colwise
 
 
 def test_aswritten_schedule_closed_forms():
-    sched = momentum_schedule(15, "aswritten")
+    etas, gammas = momentum_schedule(15, "aswritten")
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    assert abs(sched.etas[0] - 0.0) < 1e-15
-    assert abs(sched.etas[1] - 1.0) < 1e-15
-    assert abs(sched.etas[2] - golden) < 1e-15
-    assert abs(sched.gammas[0] - (-1.0)) < 1e-15
-    assert abs(sched.gammas[1] - 0.0) < 1e-15
+    assert abs(etas[0] - 0.0) < 1e-15
+    assert abs(etas[1] - 1.0) < 1e-15
+    assert abs(etas[2] - golden) < 1e-15
+    assert abs(gammas[0] - (-1.0)) < 1e-15
+    assert abs(gammas[1] - 0.0) < 1e-15
     # recurrence: eta(t+1) solves eta^2 - eta - eta(t) = 0
     for t in range(15):
-        lhs = sched.etas[t + 1] ** 2 - sched.etas[t + 1]
-        assert abs(lhs - sched.etas[t]) < 1e-12
+        lhs = etas[t + 1] ** 2 - etas[t + 1]
+        assert abs(lhs - etas[t]) < 1e-12
     for t in range(15):
-        want = (sched.etas[t] - 1.0) / sched.etas[t + 1]
-        assert abs(sched.gammas[t] - want) < 1e-15
+        want = (etas[t] - 1.0) / etas[t + 1]
+        assert abs(gammas[t] - want) < 1e-15
 
 
 def test_fista_schedule_closed_forms():
-    sched = momentum_schedule(10, "fista")
+    etas, gammas = momentum_schedule(10, "fista")
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    assert abs(sched.etas[0] - 1.0) < 1e-15
-    assert abs(sched.etas[1] - golden) < 1e-15
-    assert abs(sched.gammas[0] - 0.0) < 1e-15
+    assert abs(etas[0] - 1.0) < 1e-15
+    assert abs(etas[1] - golden) < 1e-15
+    assert abs(gammas[0] - 0.0) < 1e-15
     for t in range(10):
-        lhs = sched.etas[t + 1] ** 2 - sched.etas[t + 1]
-        assert abs(lhs - sched.etas[t] ** 2) < 1e-12
-    assert np.all(sched.gammas[1:] > 0.0)
+        lhs = etas[t + 1] ** 2 - etas[t + 1]
+        assert abs(lhs - etas[t] ** 2) < 1e-12
+    assert np.all(gammas[1:] > 0.0)
 
 
 def test_none_schedule_is_all_zero():
-    sched = momentum_schedule(8, "none")
-    assert np.all(sched.gammas == 0.0)
+    gammas = momentum_schedule(8, "none")[1]
+    assert np.all(gammas == 0.0)
 
 
 def test_schedule_prefixes_are_shorter_schedules():
     # a t-step encode runs exactly the first t steps of a longer one
     for mode in ("aswritten", "fista", "none"):
-        full = momentum_schedule(15, mode).gammas
+        full = momentum_schedule(15, mode)[1]
         for t in range(1, 16):
-            assert np.array_equal(momentum_schedule(t, mode).gammas, full[:t]), (mode, t)
+            assert np.array_equal(momentum_schedule(t, mode)[1], full[:t]), (mode, t)
 
 
 def test_schedule_rejects_bad_arguments():
@@ -70,7 +70,7 @@ def test_encoder_config_validation():
     pen = PenaltyConfig("wl", 0.5)
     with pytest.raises(ConfigError):
         EncoderConfig(pen, steps=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"expected one of \('aswritten', 'fista', 'none'\)"):
         EncoderConfig(pen, momentum_mode="turbo")
 
 
@@ -151,7 +151,7 @@ def test_l1_path_matches_handrolled_ista():
     for kind in KINDS:
         pen = PenaltyConfig(kind, lam, knn_k=4)
         for mode in MOMENTUM_MODES:
-            gammas = momentum_schedule(15, mode).gammas
+            gammas = momentum_schedule(15, mode)[1]
             X = lookahead = np.zeros((9, 7))
             for t in range(15):
                 grad = A.T @ (A @ lookahead - Y)

@@ -1,15 +1,12 @@
 """Receptive-field estimation and phase statistics."""
 
-import math
-
 import numpy as np
 import pytest
 
 from locosparse import rfeval
 from locosparse.errors import ConfigError, LocosparseError
-from locosparse.gabor import GaborParams, fold_phase
-from locosparse.rfeval import (PhaseHistogram, phase_histogram,
-                               sta_receptive_fields, symmetry_score)
+from locosparse.gabor import fold_phase
+from locosparse.rfeval import phase_histogram, sta_receptive_fields, symmetry_score
 
 
 def _relu_hook(W):
@@ -76,76 +73,54 @@ def test_sta_validates_hook_and_config():
         sta_receptive_fields(bad_hook, 4, 10, seed=0)
 
 
-def _fit(fold_deg, converged=True):
-    # build params whose folded phase equals fold_deg exactly
-    return GaborParams(1.0, 0, 0, 0, 2.0, 2.0, 0.2, math.radians(fold_deg),
-                       residual=0.1, converged=converged)
-
-
 def test_phase_histogram_exact_counts():
-    params = [_fit(5), _fit(5), _fit(25), _fit(47), _fit(88), _fit(90)]
-    hist = phase_histogram(params, 9)
-    assert hist.counts.tolist() == [2, 0, 1, 0, 1, 0, 0, 0, 2]
-    assert hist.excluded == 0
-    assert hist.bin_edges[0] == 0.0
-    assert hist.bin_edges[-1] == 90.0
+    counts, edges = phase_histogram(np.array([5.0, 5.0, 25.0, 47.0, 88.0, 90.0]), 9)
+    assert counts.tolist() == [2, 0, 1, 0, 1, 0, 0, 0, 2]
+    assert edges[0] == 0.0
+    assert edges[-1] == 90.0
 
 
 def test_phase_histogram_right_open_interior_bins():
     # a fold sitting exactly on an interior edge belongs to the upper bin
-    hist = phase_histogram([_fit(10.0)], 9)
-    assert hist.counts.tolist() == [0, 1, 0, 0, 0, 0, 0, 0, 0]
+    counts, _ = phase_histogram(np.array([10.0]), 9)
+    assert counts.tolist() == [0, 1, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_phase_histogram_counts_against_the_written_edges():
     # this phase folds to exactly the linspace lower edge of bin 3 of 7,
     # while its quotient by the bin width 90/7 falls just short of 3
-    phase = 0.6731984257692414
-    fit = GaborParams(1.0, 0, 0, 0, 2.0, 2.0, 0.2, phase, residual=0.1, converged=True)
-    hist = phase_histogram([fit], 7)
-    assert hist.bin_edges[3] == fold_phase(phase)
-    assert hist.counts.tolist() == [0, 0, 0, 1, 0, 0, 0]
-
-
-def test_phase_histogram_excludes_nonconverged():
-    params = [_fit(10), _fit(80, converged=False), _fit(70, converged=False)]
-    hist = phase_histogram(params, 3)
-    assert hist.counts.sum() == 1
-    assert hist.excluded == 2
+    folded = fold_phase(0.6731984257692414)
+    counts, edges = phase_histogram(np.array([folded]), 7)
+    assert edges[3] == folded
+    assert counts.tolist() == [0, 0, 0, 1, 0, 0, 0]
 
 
 def test_phase_histogram_empty_raises():
-    with pytest.raises(LocosparseError) as excinfo:
-        phase_histogram([_fit(10, converged=False)], 9)
-    assert excinfo.type is LocosparseError
-    with pytest.raises(LocosparseError) as excinfo:
-        phase_histogram([], 9)
+    with pytest.raises(LocosparseError, match="^no converged fits to bin$") as excinfo:
+        phase_histogram(np.array([]), 9)
     assert excinfo.type is LocosparseError
 
 
 def test_phase_histogram_bin_validation():
     with pytest.raises(ConfigError):
-        phase_histogram([_fit(10)], 1)
+        phase_histogram(np.array([10.0]), 1)
 
 
 def test_symmetry_score_balance_values():
-    hist = PhaseHistogram(np.linspace(0, 90, 3), np.array([3, 1]))
-    assert symmetry_score(hist) == pytest.approx(1.0 / 3.0)
-    hist = PhaseHistogram(np.linspace(0, 90, 5), np.array([2, 2, 1, 3]))
-    assert symmetry_score(hist) == pytest.approx(1.0)
-    hist = PhaseHistogram(np.linspace(0, 90, 3), np.array([0, 4]))
-    assert symmetry_score(hist) == 0.0
+    assert symmetry_score(np.array([5.0, 20.0, 44.9, 60.0])) == pytest.approx(1.0 / 3.0)
+    assert symmetry_score(np.array([5.0, 30.0, 50.0, 80.0])) == pytest.approx(1.0)
+    assert symmetry_score(np.array([45.0, 60.0, 89.0, 90.0])) == 0.0
 
 
-def test_symmetry_score_needs_even_bins():
-    hist = PhaseHistogram(np.linspace(0, 90, 4), np.array([1, 1, 1]))
-    with pytest.raises(ConfigError):
-        symmetry_score(hist)
+def test_symmetry_score_splits_where_the_two_bin_histogram_does():
+    # 45 itself is the upper bin's lower edge, and 90 is in the upper bin
+    folded = np.array([0.0, np.nextafter(45.0, 0.0), 45.0, 45.0, 90.0])
+    counts, _ = phase_histogram(folded, 2)
+    assert counts.tolist() == [2, 3]
+    assert symmetry_score(folded) == 2 / 3
 
 
 def test_symmetry_score_empty_histogram_raises():
-    hist = PhaseHistogram(np.linspace(0, 90, 3), np.array([0, 0]))
     with pytest.raises(LocosparseError) as excinfo:
-        symmetry_score(hist)
+        symmetry_score(np.array([]))
     assert excinfo.type is LocosparseError
-

@@ -167,9 +167,23 @@ def test_spectral_cluster_rejects_an_empty_cluster(monkeypatch):
     assert excinfo.type is LocosparseError
 
 
-def test_eigendecomposition_failure_raises_numerical_error():
-    # LAPACK reports no convergence on a non-finite matrix; the caller
-    # sees the package's runtime failure, not numpy's LinAlgError
-    with pytest.raises(LocosparseError) as excinfo:
-        symmetric_eigendecomposition(np.full((3, 3), np.nan))
+def test_eigendecomposition_failure_raises_numerical_error(monkeypatch):
+    # when LAPACK reports no convergence, the caller sees the package's
+    # runtime failure, not numpy's LinAlgError
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", fail)
+    with pytest.raises(LocosparseError, match="did not converge") as excinfo:
+        symmetric_eigendecomposition(np.eye(3))
+    assert excinfo.type is LocosparseError
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308])
+def test_eigendecomposition_rejects_overflowing_entries(entry):
+    # 1e308 is finite, but M + M^T overflows; nan would pass the symmetry test
+    M = np.eye(3)
+    M[1, 1] = entry
+    with pytest.raises(LocosparseError, match="overflow") as excinfo:
+        symmetric_eigendecomposition(M)
     assert excinfo.type is LocosparseError
