@@ -97,7 +97,7 @@ def entrypoint(argv=None):
     """Run one subcommand, then write the manifest if it returned (inputs, outputs)."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    start = time.time()
+    start = time.perf_counter()
     try:
         record = args.func(args)
         if record is not None:
@@ -106,7 +106,7 @@ def entrypoint(argv=None):
             config = {key: value for key, value in vars(args).items()
                       if key not in ("subcommand", "func", "out")}
             write_manifest(manifest, shlex.join(["locosparse", *argv]), config, inputs,
-                           [*outputs, manifest], time.time() - start)
+                           [*outputs, manifest], time.perf_counter() - start)
     except (LocosparseError, OSError) as exc:
         print(f"locosparse: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1

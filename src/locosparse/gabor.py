@@ -4,14 +4,15 @@ The model is g(u, v) = K exp(-(u'^2 / 2 sigma_x^2 + v'^2 / 2 sigma_y^2))
 * cos(2 pi f u' + phi), with (u', v') the image coordinates rotated by
 theta about the center (u0, v0); u is the column index and v the row
 index; _evaluate is its one definition. Fitting scores a (theta, f, phi)
-grid with closed-form amplitude in one broadcast _evaluate call, refines
-the best starts with damped Gauss-Newton (Levenberg-Marquardt) kept inside
-the one feasible region of _in_bounds, and canonicalizes the result into
-fixed ranges. Each trial is evaluated once, and an accepted trial's shared
-terms give the next Jacobian. A fit is converged when the step tolerance
-bites with no trial rejected at a bound in the final iteration and the
-relative residual is below 0.5, so a converged fit rests at no bound but
-the frequency floor: a trial below that floor is rejected without marking.
+grid with closed-form amplitude in one broadcast _evaluate call, each image
+once (phi in [0, pi)), refines the two best starts with damped Gauss-Newton
+(Levenberg-Marquardt) kept inside the one feasible region of _in_bounds,
+and canonicalizes the result into fixed ranges. Each trial is evaluated
+once, and an accepted trial's shared terms give the next Jacobian. A fit is
+converged when the step tolerance bites with no trial rejected at a bound
+in the final iteration and the relative residual is below 0.5, so a
+converged fit rests at no bound but the frequency floor: a trial below that
+floor is rejected without marking.
 """
 
 import math
@@ -23,7 +24,7 @@ from .errors import ConfigError
 
 _GRID_THETAS = np.linspace(0.0, np.pi, 12, endpoint=False)
 _GRID_FREQS = np.geomspace(0.05, 0.45, 8)
-_GRID_PHASES = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+_GRID_PHASES = np.linspace(0.0, np.pi, 4, endpoint=False)
 # candidates (theta, f, phi), phi fastest
 _GRID = np.stack(np.meshgrid(_GRID_THETAS, _GRID_FREQS, _GRID_PHASES, indexing="ij"),
                  axis=-1).reshape(-1, 3)
@@ -32,7 +33,7 @@ _SIGMA_FLOOR = 0.25
 _FREQ_FLOOR = 1e-3
 _FREQ_CEIL = 0.75
 _CONVERGED_RESIDUAL = 0.5
-_NUM_STARTS = 3       # best grid candidates refined
+_NUM_STARTS = 2       # best grid candidates refined
 _MAX_ITERS = 200      # Gauss-Newton iterations per start
 _STEP_TOL = 1e-8      # relative step length that counts as converged
 
@@ -113,11 +114,12 @@ def _in_bounds(q, side):
 def _coarse_grid(flat, u, v, u0, v0, sigma0):
     """(sse, amp) of every grid candidate, and the _NUM_STARTS best start vectors.
 
-    One _evaluate call renders every candidate at unit amplitude, its
-    (theta, f, phi) axes broadcast against the pixels. Each dot product is
-    an elementwise product summed along its row, which numpy reduces in the
-    same order as the .sum() of that row alone, so each score is
-    bit-identical to scoring its candidate alone, whatever the BLAS kernel.
+    phi spans [0, pi): a negative amp stands for phi + pi, so the grid holds
+    each image once and no two starts are mirror images. One _evaluate call
+    renders every candidate at unit amplitude, its (theta, f, phi) axes
+    broadcast against the pixels. Each dot product is an elementwise product
+    summed along its row in the order of that row's own .sum(), so each score
+    is bit-identical to scoring its candidate alone, whatever the BLAS kernel.
     """
     n = flat.size
     q = (1.0, u0, v0, _GRID_THETAS[:, None, None, None], sigma0, sigma0,
@@ -236,8 +238,8 @@ def gabor_fit(image):
     rejected at a bound of _in_bounds in the final iteration, and the
     relative residual is under 0.5. Refinement never leaves the feasible
     region, so every fit lies in it, and a converged one rests at no
-    bound but, possibly, the frequency floor (see _refine). A field with no oscillatory structure at all, zero or
-    constant, comes back as the unfit record: centred, unconverged,
+    bound but, possibly, the frequency floor (see _refine). A zero or
+    constant field comes back as the unfit record: centred, unconverged,
     residual 1.
     """
     img = np.asarray(image, dtype=np.float64)
@@ -259,11 +261,8 @@ def gabor_fit(image):
     sigma0 = side / 4.0
     _, _, starts = _coarse_grid(flat, u, v, u0, v0, sigma0)
 
-    best_q, best_sse, best_hit = None, np.inf, False
-    for start in starts:
-        refined, sse, hit = _refine(start, flat, u, v)
-        if sse < best_sse:
-            best_q, best_sse, best_hit = refined, sse, hit
+    best_q, best_sse, best_hit = min((_refine(start, flat, u, v) for start in starts),
+                                     key=lambda refined: refined[1])
     q = canonical_vector(best_q)
     residual = math.sqrt(best_sse) / tnorm
     return GaborParams(q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7],

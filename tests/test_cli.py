@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import time
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -348,6 +349,19 @@ def test_manifest_records_every_option_and_every_output(workspace, gabor_model, 
     assert config == _option_dests(command) - {"out"}
     outputs = [line.removeprefix("output=") for line in lines if line.startswith("output=")]
     assert sorted(outputs) == sorted(str(path) for path in tmp_path.iterdir())
+
+
+def test_manifest_duration_survives_a_wall_clock_step_back(workspace, tmp_path, monkeypatch):
+    # the wall clock steps back an hour after its first reading
+    start = time.time()
+    readings = iter([start])
+    monkeypatch.setattr(time, "time", lambda: next(readings, start - 3600.0))
+    out = tmp_path / "groups.csv"
+    assert entrypoint(["cluster", "--codes", str(workspace / "model.sct"), "--k", "2",
+                       "--mode", "stimuli", "--knn-k", "2", "--out", str(out)]) == 0
+    last = (tmp_path / "groups.csv.manifest.txt").read_text().splitlines()[-1]
+    assert last.startswith("duration_seconds=")
+    assert float(last.partition("=")[2]) >= 0.0
 
 
 def test_cluster_k_exceeding_vertices_returns_2(workspace, capsys):

@@ -120,6 +120,58 @@ def test_coarse_grid_matches_per_candidate_loop(kind, side):
     assert np.array(starts).tobytes() == np.array(want_starts).tobytes()
 
 
+def _field(kind, side):
+    """A centred Gabor rendering, the same plus noise, or pure noise."""
+    rng = np.random.default_rng(side)
+    center = (side - 1) / 2.0
+    img = render_gabor(_params(u0=center, v0=center + 0.7, sigma_x=side / 6.0,
+                               sigma_y=side / 5.0), side)
+    if kind == "noisy":
+        return img + 0.2 * rng.normal(size=img.shape)
+    return rng.normal(size=img.shape) if kind == "random" else img
+
+
+def _unit_shapes(q, side):
+    """Zero-mean, unit-norm model images, one row per vector of q's broadcast axes."""
+    shapes = _evaluate(q, *_coords(side))[0].reshape(-1, side * side)
+    shapes = shapes - shapes.mean(axis=1, keepdims=True)
+    return shapes / np.linalg.norm(shapes, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("side", [8, 15])
+def test_start_grid_holds_each_image_once(side):
+    # the closed-form amplitude's sign covers phi + pi, so no candidate may
+    # be the negative of another, and no two starts may be mirror images
+    center = (side - 1) / 2.0
+    shapes = _unit_shapes((1.0, center, center, _GRID_THETAS[:, None, None, None],
+                           side / 4.0, side / 4.0, _GRID_FREQS[:, None, None],
+                           _GRID_PHASES[:, None]), side)
+    cosines = (shapes @ shapes.T)[np.triu_indices(len(shapes), 1)]
+    assert cosines.min() > -1.0 + 1e-9
+    for kind in ("gabor", "noisy", "random"):
+        field = _field(kind, side)
+        flat = (field - field.mean()).ravel()
+        peak = int(np.argmax(np.abs(flat)))
+        starts = _coarse_grid(flat, *_coords(side), float(peak % side), float(peak // side),
+                              side / 4.0)[2]
+        assert len(starts) == _NUM_STARTS
+        unit = _unit_shapes(np.array(starts).T[:, :, None], side)
+        assert (unit @ unit.T)[np.triu_indices(len(unit), 1)].min() > -1.0 + 1e-9
+
+
+@pytest.mark.parametrize("side, kind", [(8, "gabor"), (8, "noisy"), (8, "random"),
+                                        (15, "random")])
+def test_negated_field_fits_with_phase_shifted_by_pi(side, kind):
+    # the symmetry the start grid relies on: fitting -img walks the same
+    # path with K negated, and canonical_vector folds K < 0 into phi + pi
+    img = _field(kind, side)
+    fit, negated = gabor_fit(img), gabor_fit(-img)
+    for name in ("amplitude", "u0", "v0", "theta", "sigma_x", "sigma_y", "freq",
+                 "residual", "converged"):
+        assert getattr(negated, name) == getattr(fit, name), name
+    assert abs((negated.phase - fit.phase) % (2.0 * math.pi) - math.pi) <= 1e-15
+
+
 def test_canonical_vector_preserves_image():
     side = 12
     raw = np.array([-0.7, 5.0, 6.0, 4.0, -2.5, 3.0, -0.2, 7.0])
