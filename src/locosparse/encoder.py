@@ -26,21 +26,27 @@ class EncoderConfig:
     momentum_mode: str = "aswritten"
 
     def __post_init__(self):
-        momentum_schedule(self.steps, self.momentum_mode)
+        _check_schedule(self.steps, self.momentum_mode)
+
+
+def _check_schedule(steps, mode):
+    if steps < 1:
+        raise ConfigError(f"steps must be positive, got {steps}")
+    if mode not in MOMENTUM_MODES:
+        raise ConfigError(f"unknown momentum mode {mode!r}; expected one of {MOMENTUM_MODES}")
 
 
 def momentum_schedule(steps, mode):
     """Momentum coefficients for T steps, gamma(t) = (eta(t) - 1)/eta(t+1).
 
     Returns (etas, gammas): eta(0) .. eta(T) and gamma(0) .. gamma(T-1).
-    aswritten starts eta at 0 with 4*eta(t) under the root, which makes
-    gamma(0) = -1 (the first lookahead resets to the origin) and
-    gamma(1) = 0; fista is the standard schedule with eta(0) = 1 and
-    4*eta(t)^2 under the root; none holds every gamma at zero. This is
-    the one check of `steps` and the mode, which `EncoderConfig` runs.
+    aswritten starts eta at 0 with 4*eta(t) under the root: gamma(0) = -1
+    resets the first lookahead to the origin and gamma(1) = 0, so step 1
+    repeats step 0, which `encode` skips (a zero may keep a minus sign);
+    fista has eta(0) = 1 and 4*eta(t)^2 under the root; none holds every
+    gamma at zero. `EncoderConfig` runs the same checks without this O(T) build.
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be positive, got {steps}")
+    _check_schedule(steps, mode)
     etas = np.empty(steps + 1)
     if mode == "aswritten":
         etas[0] = 0.0
@@ -50,10 +56,8 @@ def momentum_schedule(steps, mode):
         etas[0] = 1.0
         for t in range(steps):
             etas[t + 1] = (1.0 + np.sqrt(1.0 + 4.0 * etas[t] ** 2)) / 2.0
-    elif mode == "none":
-        etas[:] = 1.0
     else:
-        raise ConfigError(f"unknown momentum mode {mode!r}; expected one of {MOMENTUM_MODES}")
+        etas[:] = 1.0
     return etas, (etas[:-1] - 1.0) / etas[1:]
 
 
@@ -70,7 +74,8 @@ def spectral_norm_sq_inv(A):
 
 
 def encode(Y, A, cfg):
-    """Run the unrolled encoder on a batch of stimulus columns.
+    """Run the unrolled encoder on a batch of stimulus columns; with more
+    than one step, aswritten skips step 0, which its step 1 repeats.
 
     Args:
         Y: d x n stimulus matrix (a single column may be passed 1-D).
@@ -96,7 +101,7 @@ def encode(Y, A, cfg):
     # becomes the step Z, and the previous codes become the lookahead
     X = np.zeros((A.shape[1], Y.shape[1]))
     lookahead = X
-    for t in range(cfg.steps):
+    for t in range(1 if cfg.steps > 1 and gammas[0] == -1.0 else 0, cfg.steps):
         Z = pen.code_gradient(lookahead)
         Z *= alpha
         np.subtract(lookahead, Z, out=Z)

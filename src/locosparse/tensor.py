@@ -84,11 +84,6 @@ def _parse_sct(buf, path):
     return np.array(data, dtype=np.float64).reshape(dims)
 
 
-def read_pgm(path):
-    """Read an 8-bit binary PGM (P5) image, scaled to [0, 1]."""
-    return _parse_pgm(read_file(path), path)
-
-
 def _parse_pgm(buf, path):
     pos = 0
 

@@ -5,14 +5,20 @@ strategy than the library code it validates: support enumeration instead
 of sort-and-threshold, finite differences instead of analytic gradients,
 classical largest-pivot Jacobi instead of cyclic sweeps, breadth-first
 search instead of spectral structure, one candidate at a time instead of
-a broadcast tensor, one byte at a time instead of numpy blocks, and a
-column-major walk instead of one contiguous row per stimulus.
+a broadcast tensor, one byte at a time instead of numpy blocks, a
+column-major walk instead of one contiguous row per stimulus, and
+every pixel of the frame for each scene stroke and disc instead of its
+own window.
 """
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
+
+from locosparse.rng import CounterRng, derive_seed
+from synthdata import _gaussian_blur
 
 
 def simplex_projection_bruteforce(v):
@@ -181,3 +187,62 @@ def fnv1a64_bytewise(data):
     for byte in bytes(data):
         h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
     return h
+
+
+def edge_strokes_full_frame(side=510, cell=100, seed=3, sigma=1.3, amp=3.5):
+    """`synthdata.edge_strokes`, computing every stroke on every pixel."""
+    rng = CounterRng(derive_seed(seed, "edge-strokes"))
+    img = np.zeros((side, side))
+    yy, xx = np.mgrid[0:side, 0:side].astype(float)
+    cells = side // cell
+    n = cells * cells
+    thetas = rng.uniforms(n) * math.pi
+    lens = 64.0 + rng.uniforms(n) * 20.0
+    signs = np.where(rng.uniforms(n) < 0.5, -1.0, 1.0)
+    offs = rng.uniforms(2 * n) * 10.0 - 5.0
+    k = 0
+    for cv in range(cells):
+        for cu in range(cells):
+            cx = cu * cell + cell / 2.0 + offs[2 * k]
+            cy = cv * cell + cell / 2.0 + offs[2 * k + 1]
+            ct, st = math.cos(thetas[k]), math.sin(thetas[k])
+            u = (xx - cx) * ct + (yy - cy) * st
+            v = -(xx - cx) * st + (yy - cy) * ct
+            L = lens[k]
+            keep = (np.abs(v) < 5.0 * sigma) & (np.abs(u) < L / 2.0)
+            prof = -(v / sigma ** 2) * np.exp(-v ** 2 / (2.0 * sigma ** 2))
+            taper = 0.5 * (1.0 + np.cos(
+                np.clip(np.abs(u) - (L / 2.0 - 8.0), 0.0, 8.0) * math.pi / 8.0))
+            img[keep] += (signs[k] * amp * prof * taper)[keep]
+            k += 1
+    return img
+
+
+def dead_leaves_discs(side, num_discs, seed, r_min, r_max):
+    """The (radii, cx, cy, grays) that `synthdata.dead_leaves_image` draws."""
+    rng = CounterRng(derive_seed(seed, "dead-leaves"))
+    a = r_min ** -2.0
+    b = r_max ** -2.0
+    u = rng.uniforms(num_discs)
+    radii = (a - u * (a - b)) ** -0.5
+    cx = rng.uniforms(num_discs) * side
+    cy = rng.uniforms(num_discs) * side
+    grays = rng.uniforms(num_discs) * 2.0 - 1.0
+    return radii, cx, cy, grays
+
+
+def dead_leaves_full_frame(side=512, num_discs=1200, seed=20260825, r_min=6.0,
+                           r_max=80.0, blur_sigma=0.7):
+    """`synthdata.dead_leaves_image`, testing every disc on every pixel."""
+    radii, cx, cy, grays = dead_leaves_discs(side, num_discs, seed, r_min, r_max)
+    img = np.zeros((side, side))
+    yy, xx = np.mgrid[0:side, 0:side].astype(float)
+    for i in range(num_discs):
+        mask = (xx - cx[i]) ** 2 + (yy - cy[i]) ** 2 <= radii[i] ** 2
+        img[mask] = grays[i]
+    img = _gaussian_blur(img, blur_sigma)
+    img -= img.mean()
+    sd = img.std()
+    if sd > 0:
+        img /= sd
+    return img

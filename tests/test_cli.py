@@ -523,3 +523,18 @@ def test_corrupt_meta_value_exits_1_and_writes_nothing(gabor_model, tmp_path, ca
     assert code == 1
     assert f"{tmp_path / 'm'}.meta: " in capsys.readouterr().err
     assert list(tmp_path.glob("e.*")) == []
+
+
+def test_atom_eval_of_a_model_with_huge_steps_builds_no_schedule(gabor_model, tmp_path):
+    # steps only shapes the encoder, which an atom eval never runs; loading
+    # the model checks the value without building a 2**62-step schedule
+    meta = gabor_model.with_suffix(".meta").read_text(encoding="utf-8")
+    assert "\nsteps=15\n" in meta
+    huge = meta.replace("\nsteps=15\n", f"\nsteps={2 ** 62}\n")
+    _copy_model(gabor_model, tmp_path / "m", huge.encode("utf-8"))
+    for prefix, out in ((gabor_model, tmp_path / "ref"), (tmp_path / "m", tmp_path / "e")):
+        code = entrypoint(["eval", "--model", str(prefix), "--source", "atoms",
+                           "--out", str(out)])
+        assert code == 0
+    assert ((tmp_path / "e.gabor.csv").read_bytes()
+            == (tmp_path / "ref.gabor.csv").read_bytes())

@@ -11,7 +11,7 @@ from locosparse import tensor
 from locosparse.errors import LocosparseError
 from locosparse.rng import CounterRng
 from locosparse.tensor import (as_tensor, load_image_stack, load_tensor,
-                               read_pgm, save_tensor, write_file)
+                               save_tensor, write_file)
 
 
 def test_as_tensor_promotes_lists():
@@ -144,7 +144,7 @@ def _pgm_bytes(width, height, maxval, raster, header_sep=b"\n"):
 def test_read_pgm_scales_by_maxval(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(_pgm_bytes(3, 2, 200, bytes([0, 50, 100, 150, 200, 25])))
-    img = read_pgm(path)
+    img = load_image_stack(path)
     assert img.shape == (2, 3)
     assert np.allclose(img, np.array([[0, 50, 100], [150, 200, 25]]) / 200.0)
 
@@ -153,7 +153,7 @@ def test_read_pgm_handles_comments_and_odd_whitespace(tmp_path):
     path = tmp_path / "c.pgm"
     body = b"P5 # format marker\n# a comment line\n 2\t2 #inline\n255\n"
     path.write_bytes(body + bytes([10, 20, 30, 40]))
-    img = read_pgm(path)
+    img = load_image_stack(path)
     assert np.allclose(img, np.array([[10, 20], [30, 40]]) / 255.0)
 
 
@@ -162,15 +162,16 @@ def test_read_pgm_raster_may_start_with_whitespace_byte(tmp_path):
     # pixel value is 0x20 (a space) must not be eaten by the tokenizer
     path = tmp_path / "w.pgm"
     path.write_bytes(b"P5\n2 1 255\n" + bytes([0x20, 0x0A]))
-    img = read_pgm(path)
+    img = load_image_stack(path)
     assert np.allclose(img, np.array([[0x20, 0x0A]]) / 255.0)
 
 
 def test_read_pgm_rejects_ascii_variant(tmp_path):
+    # only the P5 magic selects the PGM parser, so a P2 file fails as a bad SCT
     path = tmp_path / "p2.pgm"
     path.write_bytes(b"P2\n2 2\n255\n1 2 3 4\n")
     with pytest.raises(LocosparseError) as excinfo:
-        read_pgm(path)
+        load_image_stack(path)
     assert excinfo.type is LocosparseError
 
 
@@ -178,7 +179,7 @@ def test_read_pgm_rejects_16_bit(tmp_path):
     path = tmp_path / "deep.pgm"
     path.write_bytes(_pgm_bytes(1, 1, 65535, bytes(2)))
     with pytest.raises(LocosparseError) as excinfo:
-        read_pgm(path)
+        load_image_stack(path)
     assert excinfo.type is LocosparseError
 
 
@@ -186,7 +187,7 @@ def test_read_pgm_rejects_short_raster(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(_pgm_bytes(4, 4, 255, bytes(7)))
     with pytest.raises(LocosparseError) as excinfo:
-        read_pgm(path)
+        load_image_stack(path)
     assert excinfo.type is LocosparseError
 
 
@@ -194,7 +195,7 @@ def test_read_pgm_rejects_truncated_header(tmp_path):
     path = tmp_path / "trunc.pgm"
     path.write_bytes(b"P5\n4")
     with pytest.raises(LocosparseError) as excinfo:
-        read_pgm(path)
+        load_image_stack(path)
     assert excinfo.type is LocosparseError
 
 
