@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, LocosparseError
 from .penalties import PenaltyConfig
 
-MOMENTUM_MODES = ("aswritten", "fista", "none")
+MOMENTUM_MODES = ("aswritten", "none")
 
 
 @dataclass(frozen=True)
@@ -26,48 +26,35 @@ class EncoderConfig:
     momentum_mode: str = "aswritten"
 
     def __post_init__(self):
-        _check_schedule(self.steps, self.momentum_mode)
-
-
-def _check_schedule(steps, mode):
-    if steps < 1:
-        raise ConfigError(f"steps must be positive, got {steps}")
-    if mode not in MOMENTUM_MODES:
-        raise ConfigError(f"unknown momentum mode {mode!r}; expected one of {MOMENTUM_MODES}")
+        if self.steps < 1:
+            raise ConfigError(f"steps must be positive, got {self.steps}")
+        if self.momentum_mode not in MOMENTUM_MODES:
+            raise ConfigError(f"unknown momentum mode {self.momentum_mode!r}; "
+                              f"expected one of {MOMENTUM_MODES}")
 
 
 def momentum_schedule(steps, mode):
-    """Momentum coefficients for T steps, gamma(t) = (eta(t) - 1)/eta(t+1).
+    """Momentum coefficients for T >= 1 steps, gamma(t) = (eta(t) - 1)/eta(t+1).
 
     Returns (etas, gammas): eta(0) .. eta(T) and gamma(0) .. gamma(T-1).
     aswritten starts eta at 0 with 4*eta(t) under the root: gamma(0) = -1
     resets the first lookahead to the origin and gamma(1) = 0, so step 1
     repeats step 0, which `encode` skips (a zero may keep a minus sign);
-    fista has eta(0) = 1 and 4*eta(t)^2 under the root; none holds every
-    gamma at zero. `EncoderConfig` runs the same checks without this O(T) build.
+    none holds every gamma at zero. `EncoderConfig` checks T and the mode.
     """
-    _check_schedule(steps, mode)
     etas = np.empty(steps + 1)
     if mode == "aswritten":
         etas[0] = 0.0
         for t in range(steps):
             etas[t + 1] = (1.0 + np.sqrt(1.0 + 4.0 * etas[t])) / 2.0
-    elif mode == "fista":
-        etas[0] = 1.0
-        for t in range(steps):
-            etas[t + 1] = (1.0 + np.sqrt(1.0 + 4.0 * etas[t] ** 2)) / 2.0
     else:
         etas[:] = 1.0
     return etas, (etas[:-1] - 1.0) / etas[1:]
 
 
 def spectral_norm_sq_inv(A):
-    """1 / sigma_max(A)^2, the 1/L step size of proximal gradient descent."""
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ConfigError("dictionary must be a matrix")
-    if not np.all(np.isfinite(A)):
-        raise ConfigError("dictionary contains non-finite entries")
+    """1 / sigma_max(A)^2, the 1/L step size of proximal gradient descent,
+    for a finite d x m dictionary A."""
     if not A.any():
         raise LocosparseError("zero dictionary has no spectral norm")
     return 1.0 / np.linalg.norm(A, 2) ** 2
@@ -78,8 +65,8 @@ def encode(Y, A, cfg):
     than one step, aswritten skips step 0, which its step 1 repeats.
 
     Args:
-        Y: d x n stimulus matrix (a single column may be passed 1-D).
-        A: d x m dictionary.
+        Y: float64 d x n stimulus matrix.
+        A: finite float64 d x m dictionary.
         cfg: EncoderConfig.
 
     Returns:
@@ -88,10 +75,6 @@ def encode(Y, A, cfg):
         and lap the codes land on the probability simplex column-wise;
         the l1 path returns soft-thresholded codes instead.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    A = np.asarray(A, dtype=np.float64)
     pen = cfg.penalty.bind(A, Y)
 
     alpha = spectral_norm_sq_inv(A)

@@ -231,7 +231,7 @@ def _unfit_params(side):
 
 
 def gabor_fit(image):
-    """Least-squares Gabor fit to a square receptive-field image.
+    """Least-squares Gabor fit to a square 2-D receptive-field image.
 
     The field is mean-subtracted first (the model carries no DC term).
     converged requires two things: the step tolerance bites with no trial
@@ -243,8 +243,6 @@ def gabor_fit(image):
     residual 1.
     """
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise ConfigError("receptive field must be a square image")
     if not np.isfinite(img).all():
         raise ConfigError("receptive field must be finite")
     side = img.shape[0]
@@ -284,7 +282,6 @@ def fold_phase(phi):
 
 
 def shape_metrics(params):
-    """(sigma_x * f, sigma_y * f): small means blob-like, large elongated."""
-    if not params.converged:
-        raise ConfigError("shape metrics require a converged fit")
+    """(sigma_x * f, sigma_y * f) of a converged fit: small means blob-like,
+    large elongated."""
     return params.sigma_x * params.freq, params.sigma_y * params.freq

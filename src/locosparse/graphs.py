@@ -38,10 +38,11 @@ def knn_adjacency(Y, k):
 def laplacian_from_adjacency(W):
     """D - W as a plain array.
 
-    W must be a symmetric, non-negative float adjacency with a zero
-    diagonal; `knn_adjacency` and `bipartite_laplacian` build only such
-    a W, so nothing here checks it again. D - W then has zero row sums
-    and non-positive off-diagonal entries, and is exactly symmetric.
+    W must be an exactly symmetric, finite, non-negative float64
+    adjacency with a zero diagonal, as `knn_adjacency` and
+    `bipartite_laplacian` build it. D - W then has zero row sums and
+    non-positive off-diagonal entries, and is exactly symmetric, as
+    `symmetric_eigendecomposition` requires.
     """
     return np.diag(W.sum(axis=1)) - W
 

@@ -13,17 +13,12 @@ MIN_PATCH_SIDE = 2
 
 @dataclass(frozen=True)
 class PatchSamplerConfig:
+    """count >= 1 patches of patch_side >= MIN_PATCH_SIDE pixels a side."""
+
     patch_side: int
     count: int
     seed: int
     standardize: bool = True
-
-    def __post_init__(self):
-        if self.patch_side < MIN_PATCH_SIDE:
-            raise ConfigError(
-                f"patch_side must be at least {MIN_PATCH_SIDE}, got {self.patch_side}")
-        if self.count < 1:
-            raise ConfigError(f"count must be positive, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -34,16 +29,8 @@ class StimulusBatch:
     patch_side: int
 
     def __post_init__(self):
-        if self.patches.ndim != 2 or self.patches.shape[0] != self.patch_side ** 2:
-            raise ConfigError(
-                f"patches must be {self.patch_side ** 2} x n for "
-                f"patch_side {self.patch_side}, got {self.patches.shape}")
         if not np.all(np.isfinite(self.patches)):
             raise LocosparseError("stimulus batch contains non-finite values")
-
-    @property
-    def count(self):
-        return self.patches.shape[1]
 
 
 def sample_patches(images, cfg):

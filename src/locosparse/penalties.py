@@ -61,7 +61,8 @@ class PenaltyConfig:
 
 
 class BatchObjective:
-    """1/2 ||Y - AX||_F^2 + penalty(X) for a fixed dictionary and batch.
+    """1/2 ||Y - AX||_F^2 + penalty(X) for a fixed float64 d x m dictionary
+    A and d x n batch Y.
 
     The penalty is lam * sum |x_ji| (l1), lam * sum_ji x_ji ||y_i - a_j||^2
     (wl) or lam * tr(X G X^T) (lap), with G the Laplacian of the binary
@@ -70,10 +71,6 @@ class BatchObjective:
     """
 
     def __init__(self, penalty, A, Y):
-        A = np.asarray(A, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        if Y.ndim != 2 or A.ndim != 2 or A.shape[0] != Y.shape[0]:
-            raise ConfigError(f"shape mismatch: Y {Y.shape} vs A {A.shape}")
         self.kind, self.lam, self.A, self.Y = penalty.kind, penalty.lam, A, Y
         if self.kind == "wl":
             self.D = pairwise_sq_distances(A, Y)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import ConfigError, LocosparseError
+from .errors import LocosparseError
 from .rng import CounterRng, derive_seed
 
 _DEAD_RESPONSE = 1e-9
@@ -13,10 +13,10 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed):
     """Spike-triggered averages under Gaussian white noise.
 
     Args:
-        respond: callable mapping a d x c stimulus block to an m x c
-            code block, d = patch_side**2.
+        respond: callable mapping a float64 d x c stimulus block to an
+            m x c float64 code block, d = patch_side**2.
         patch_side: pixel edge of the stimulus patches.
-        num_samples: white-noise stimuli to draw.
+        num_samples: white-noise stimuli to draw, at least 1.
         seed: stream seed; the same seed reproduces the fields exactly.
 
     Returns an m x patch_side x patch_side stack whose image j is
@@ -26,8 +26,6 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed):
     chunk. A dead neuron, whose total response stays below 1e-9, gets a
     zero image rather than a division by nearly nothing.
     """
-    if num_samples < 1:
-        raise ConfigError("num_samples must be positive")
     d = patch_side * patch_side
     rng = CounterRng(derive_seed(seed, "sta"))
     weighted = None
@@ -36,9 +34,7 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed):
     while done < num_samples:
         c = min(_CHUNK, num_samples - done)
         Y = rng.normals(d * c).reshape(c, d).T
-        X = np.asarray(respond(Y), dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != c:
-            raise ConfigError(f"response block must be m x {c}, got {X.shape}")
+        X = respond(Y)
         if weighted is None:
             weighted = np.zeros((d, X.shape[0]))
             totals = np.zeros(X.shape[0])
@@ -52,14 +48,13 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed):
 
 
 def phase_histogram(folded, num_bins):
-    """Histogram folded phases (degrees) over [0, 90]: numpy's (counts, bin_edges).
+    """Histogram folded phases (degrees) over [0, 90] in num_bins >= 2 bins:
+    numpy's (counts, bin_edges).
 
     `folded` holds the folded phases of the fits that count, the
     converged ones. Interior bins are right-open; the last bin includes
     90. A phase is counted against the bin edges it is written with.
     """
-    if num_bins < 2:
-        raise ConfigError(f"need at least 2 bins, got {num_bins}")
     if len(folded) == 0:
         raise LocosparseError("no converged fits to bin")
     return np.histogram(folded, num_bins, (0.0, 90.0))
@@ -67,15 +62,12 @@ def phase_histogram(folded, num_bins):
 
 def symmetry_score(folded):
     """Balance min(L, R) / max(L, R) of folded phases below 45 degrees (L)
-    and at or above it (R).
+    and at or above it (R), for a non-empty array of folded phases.
 
     These are the two bins that `phase_histogram(folded, 2)` fills. 1
     means the two halves carry equal mass; values near 0 mean the
     distribution is piled up on one side.
     """
-    folded = np.asarray(folded)
     left = int(np.count_nonzero(folded < 45.0))
     right = int(np.count_nonzero(folded >= 45.0))
-    if max(left, right) == 0:
-        raise LocosparseError("no folded phases to score")
     return min(left, right) / max(left, right)

@@ -2,24 +2,13 @@
 
 import numpy as np
 
-from .errors import ConfigError
-
 # bound on the difference scratch of one atom block in pairwise_sq_distances
 _DIFF_SCRATCH_BYTES = 256 * 2**10
 
 
-def project_simplex(x):
-    """Euclidean projection of a vector onto {z : z >= 0, sum(z) = 1}.
-
-    The single-column case of `project_columns`, so it runs the very
-    arithmetic the encoder does, and its checks: a matrix, an empty
-    vector, a scalar or a non-finite entry raises `ConfigError` there.
-    """
-    return project_columns(np.asarray(x, dtype=np.float64)[..., None])[:, 0]
-
-
-def project_columns(X):
-    """Column-wise simplex projection of an m x n matrix.
+def project_columns(M):
+    """Euclidean projection of each column of a finite float64 m x n
+    matrix, m >= 1, onto the simplex {z : z >= 0, sum(z) = 1}.
 
     Each column v becomes relu(v + b) with the shift b found by the sort
     rule: sort descending as u, take the largest j with
@@ -30,13 +19,10 @@ def project_columns(X):
     the cumulative sum is sequential in either layout, so no bit moves.
     A column whose largest entry is above 2**53 rounds the j = 1 test to
     zero and finds no j; it is projected again after subtracting its
-    maximum, which leaves the projection unchanged.
+    maximum, which leaves the projection unchanged. An entry more than
+    the float maximum below that maximum becomes -inf there, with numpy's
+    overflow warning, and still projects to 0.
     """
-    M = np.asarray(X, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] < 1:
-        raise ConfigError("project_columns expects an m x n matrix with m >= 1")
-    if not np.all(np.isfinite(M)):
-        raise ConfigError("project_columns requires finite entries")
     n, j = M.shape[1], np.arange(1, M.shape[0] + 1)
     u = np.negative(M.T, order="C")
     u.sort(axis=1)
@@ -54,7 +40,7 @@ def project_columns(X):
 
 
 def pairwise_sq_distances(A, Y):
-    """Matrix D with D[j, i] = ||y_i - a_j||^2.
+    """Matrix D with D[j, i] = ||y_i - a_j||^2, for A d x m and Y d x n.
 
     Computed from explicit differences rather than the norm expansion so
     identical columns give exact zeros and entries never go negative. The
@@ -71,8 +57,6 @@ def pairwise_sq_distances(A, Y):
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if A.ndim != 2 or Y.ndim != 2 or A.shape[0] != Y.shape[0]:
-        raise ConfigError(f"shape mismatch: A {A.shape} vs Y {Y.shape}")
     (d, m), n = A.shape, Y.shape[1]
     block = max(1, _DIFF_SCRATCH_BYTES // (A.itemsize * max(d, 1) * max(n, 1)))
     D = np.empty((m, n))

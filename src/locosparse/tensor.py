@@ -123,6 +123,7 @@ def _parse_pgm(buf, path):
 
 
 def load_image_stack(path):
-    """Load grayscale image data from SCT or PGM, sniffing the magic bytes."""
+    """Load grayscale image data from SCT or PGM, sniffing the magic bytes:
+    every netpbm magic, P1 to P7, goes to the PGM parser, which reads P5."""
     buf = read_file(path)
-    return (_parse_pgm if buf[:2] == b"P5" else _parse_sct)(buf, path)
+    return (_parse_pgm if b"P1" <= buf[:2] <= b"P7" else _parse_sct)(buf, path)

@@ -22,7 +22,7 @@ _DEAD_NORM = 1e-12
 
 @dataclass(frozen=True)
 class Dictionary:
-    """d x m basis matrix with unit-norm columns, d = patch_side**2."""
+    """Finite d x m basis matrix with unit-norm columns, d = patch_side**2."""
 
     atoms: np.ndarray
     patch_side: int
@@ -32,8 +32,6 @@ class Dictionary:
             raise ConfigError(
                 f"atoms must be {self.patch_side ** 2} x m for "
                 f"patch_side {self.patch_side}, got {self.atoms.shape}")
-        if not np.all(np.isfinite(self.atoms)):
-            raise LocosparseError("dictionary contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,7 @@ class TrainedModel:
 
 
 def init_dictionary(d, m, seed):
-    """Standard-normal entries, then unit-norm columns."""
-    if d < 1 or m < 1:
-        raise ConfigError("dictionary dimensions must be positive")
+    """Standard-normal entries, then unit-norm columns; d, m >= 1."""
     atoms = CounterRng(seed).normals(d * m).reshape(d, m)
     norms = np.sqrt((atoms * atoms).sum(axis=0))
     norms[norms == 0.0] = 1.0
@@ -89,15 +85,10 @@ def dictionary_step(A, Y, X, penalty, lr, rng):
     The step is lr times the penalty's `atom_gradient` divided by the
     batch size. Columns whose norm collapses, then columns whose code
     row is all zero, each in ascending order, are redrawn as fresh unit
-    vectors from `rng`. Returns the updated atoms together with the
-    sorted indices of every redrawn column.
+    vectors from `rng`. A is d x m, Y d x b and X m x b, all float64.
+    Returns the updated atoms together with the sorted indices of every
+    redrawn column.
     """
-    A = np.asarray(A, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if (A.ndim != 2 or Y.ndim != 2 or X.ndim != 2 or A.shape[0] != Y.shape[0]
-            or X.shape[0] != A.shape[1] or X.shape[1] != Y.shape[1]):
-        raise ConfigError(f"shape mismatch: A {A.shape}, Y {Y.shape}, X {X.shape}")
     b = Y.shape[1]
     grad = penalty.atom_gradient(A, Y, X)
     if not np.all(np.isfinite(grad)):

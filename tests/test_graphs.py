@@ -104,6 +104,8 @@ def test_laplacian_row_sums_and_psd_on_random_graphs():
         b = int(rng.integers(5, 13))
         Y = rng.normal(size=(4, b))
         G = laplacian_from_adjacency(knn_adjacency(Y, min(4, b - 1)))
+        # the eigensolver relies on exact symmetry and does not check it
+        assert np.array_equal(G, G.T)
         assert np.abs(G.sum(axis=1)).max() < 1e-10
         evals = jacobi_eigenvalues_classical(G)
         assert evals[0] > -1e-9
@@ -136,6 +138,13 @@ def test_bipartite_laplacian_structure():
     assert M[0, 1] == 0.0 and M[2, 3] == 0.0
     assert M[0, 2] == -0.5 and M[1, 3] == -1.0
     assert np.abs(M.sum(axis=1)).max() < 1e-12
+    # exactly symmetric for any non-negative codes, as the eigensolver requires
+    rng = np.random.default_rng(23)
+    for _ in range(25):
+        codes = np.abs(rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9)))))
+        codes[rng.random(codes.shape) < 0.3] = 0.0
+        L = bipartite_laplacian(codes)
+        assert np.array_equal(L, L.T)
 
 
 def test_bipartite_laplacian_rejects_negative_codes():

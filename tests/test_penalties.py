@@ -7,8 +7,6 @@ from locosparse import penalties
 from locosparse.errors import ConfigError
 from locosparse.graphs import knn_adjacency, laplacian_from_adjacency
 from locosparse.penalties import PenaltyConfig
-from locosparse.rng import CounterRng
-from locosparse.trainer import dictionary_step
 
 from oracles import fd_gradient, pairwise_sq_distances_loops
 
@@ -86,14 +84,6 @@ def test_wl_code_gradient_batch_stacks_columns():
         assert np.allclose(batch[:, i], single[:, 0], atol=1e-12)
 
 
-def test_wl_code_gradient_shape_errors():
-    for kind in ("l1", "wl"):
-        with pytest.raises(ConfigError):
-            PenaltyConfig(kind, 0.5).bind(np.zeros((4, 2)), np.zeros((3, 1)))
-        with pytest.raises(ConfigError):
-            PenaltyConfig(kind, 0.5).bind(np.zeros((4, 2)), np.zeros(4))
-
-
 def test_wl_atom_gradient_matches_finite_differences():
     # the full objective 1/2||Y - AX||^2 + lam sum_ij x_ji ||y_i - a_j||^2
     # differentiated in the dictionary entries
@@ -149,8 +139,6 @@ def test_lap_code_gradient_matches_finite_differences():
 
 
 def test_lap_gradient_shape_errors():
-    with pytest.raises(ConfigError):
-        PenaltyConfig("lap", 0.5).bind(np.zeros((4, 2)), np.zeros((3, 6)))
     # the kNN graph needs more columns than knn_k
     with pytest.raises(ConfigError):
         PenaltyConfig("lap", 0.5).bind(np.zeros((3, 2)), np.zeros((3, 4)))
@@ -165,12 +153,6 @@ def test_atom_gradient_is_zero_for_zero_codes():
     for kind in ("l1", "wl", "lap"):
         grad = PenaltyConfig(kind, 0.5).atom_gradient(A, Y, np.zeros((4, 6)))
         assert np.array_equal(grad, np.zeros((9, 4))), kind
-
-
-def test_wl_atom_gradient_shape_errors():
-    with pytest.raises(ConfigError):
-        dictionary_step(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((3, 3)),
-                        PenaltyConfig("wl", 0.5), 1.0, CounterRng(0))
 
 
 def test_batch_graph_only_for_lap(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from locosparse import rfeval
-from locosparse.errors import ConfigError, LocosparseError
+from locosparse.errors import LocosparseError
 from locosparse.gabor import fold_phase
 from locosparse.rfeval import phase_histogram, sta_receptive_fields, symmetry_score
 
@@ -63,16 +63,6 @@ def test_sta_flags_dead_neuron():
     assert np.all(fields[1] == 0.0)
 
 
-def test_sta_validates_hook_and_config():
-    with pytest.raises(ConfigError):
-        sta_receptive_fields(lambda Y: Y, 4, 0, seed=0)
-
-    def bad_hook(Y):
-        return np.zeros((3, Y.shape[1] + 1))
-    with pytest.raises(ConfigError):
-        sta_receptive_fields(bad_hook, 4, 10, seed=0)
-
-
 def test_phase_histogram_exact_counts():
     counts, edges = phase_histogram(np.array([5.0, 5.0, 25.0, 47.0, 88.0, 90.0]), 9)
     assert counts.tolist() == [2, 0, 1, 0, 1, 0, 0, 0, 2]
@@ -101,11 +91,6 @@ def test_phase_histogram_empty_raises():
     assert excinfo.type is LocosparseError
 
 
-def test_phase_histogram_bin_validation():
-    with pytest.raises(ConfigError):
-        phase_histogram(np.array([10.0]), 1)
-
-
 def test_symmetry_score_balance_values():
     assert symmetry_score(np.array([5.0, 20.0, 44.9, 60.0])) == pytest.approx(1.0 / 3.0)
     assert symmetry_score(np.array([5.0, 30.0, 50.0, 80.0])) == pytest.approx(1.0)
@@ -119,8 +104,3 @@ def test_symmetry_score_splits_where_the_two_bin_histogram_does():
     assert counts.tolist() == [2, 3]
     assert symmetry_score(folded) == 2 / 3
 
-
-def test_symmetry_score_empty_histogram_raises():
-    with pytest.raises(LocosparseError) as excinfo:
-        symmetry_score(np.array([]))
-    assert excinfo.type is LocosparseError

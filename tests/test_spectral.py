@@ -53,13 +53,6 @@ def test_eigendecomposition_known_two_by_two():
     assert values == pytest.approx([1.0, 3.0], abs=1e-12)
 
 
-def test_eigendecomposition_input_validation():
-    with pytest.raises(ConfigError):
-        symmetric_eigendecomposition(np.zeros((2, 3)))
-    with pytest.raises(ConfigError):
-        symmetric_eigendecomposition(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-
 def test_eigendecomposition_at_order_300():
     rng = np.random.default_rng(13)
     B = rng.normal(size=(300, 300))
@@ -151,13 +144,6 @@ def test_spectral_cluster_k_validation():
         spectral_cluster(G, 3)
 
 
-def test_spectral_cluster_rejects_non_square_matrix():
-    # k = 1 goes through the eigensolver's check like every other k
-    for k in (1, 2):
-        with pytest.raises(ConfigError, match="square"):
-            spectral_cluster(np.zeros((2, 3)), k)
-
-
 def test_spectral_cluster_rejects_an_empty_cluster(monkeypatch):
     # k-means can return fewer than k labels when points coincide
     W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -176,14 +162,4 @@ def test_eigendecomposition_failure_raises_numerical_error(monkeypatch):
     monkeypatch.setattr(spectral.np.linalg, "eigh", fail)
     with pytest.raises(LocosparseError, match="did not converge") as excinfo:
         symmetric_eigendecomposition(np.eye(3))
-    assert excinfo.type is LocosparseError
-
-
-@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308])
-def test_eigendecomposition_rejects_overflowing_entries(entry):
-    # 1e308 is finite, but M + M^T overflows; nan would pass the symmetry test
-    M = np.eye(3)
-    M[1, 1] = entry
-    with pytest.raises(LocosparseError, match="overflow") as excinfo:
-        symmetric_eigendecomposition(M)
     assert excinfo.type is LocosparseError

@@ -167,10 +167,10 @@ def test_read_pgm_raster_may_start_with_whitespace_byte(tmp_path):
 
 
 def test_read_pgm_rejects_ascii_variant(tmp_path):
-    # only the P5 magic selects the PGM parser, so a P2 file fails as a bad SCT
+    # every netpbm magic selects the PGM parser, which reads only binary P5
     path = tmp_path / "p2.pgm"
     path.write_bytes(b"P2\n2 2\n255\n1 2 3 4\n")
-    with pytest.raises(LocosparseError) as excinfo:
+    with pytest.raises(LocosparseError, match=r"not a binary PGM \(P5\) file") as excinfo:
         load_image_stack(path)
     assert excinfo.type is LocosparseError
 
