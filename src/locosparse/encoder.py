@@ -42,7 +42,10 @@ def momentum_schedule(steps, mode):
     repeats step 0, which `encode` skips (a zero may keep a minus sign);
     none holds every gamma at zero. `EncoderConfig` checks T and the mode.
     """
-    etas = np.empty(steps + 1)
+    try:
+        etas = np.empty(steps + 1)
+    except (ValueError, MemoryError) as exc:  # numpy's "array is too big" is a ValueError
+        raise LocosparseError(f"no momentum schedule for steps={steps}: {exc}") from None
     if mode == "aswritten":
         etas[0] = 0.0
         for t in range(steps):

@@ -12,9 +12,9 @@ def knn_adjacency(Y, k):
     """Binary union-symmetrized k-nearest-neighbor adjacency over columns.
 
     Edge (i, j) is set when j is among i's k nearest columns in
-    Euclidean distance or i is among j's. Ties resolve toward the lower
-    index and the diagonal stays zero. The squared distances come from
-    `pairwise_sq_distances(Y, Y)`.
+    Euclidean distance or i is among j's. Each row takes its k first
+    minima of `pairwise_sq_distances(Y, Y)`, one `argmin` pass each, so
+    ties resolve toward the lower index; the diagonal stays zero.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
@@ -28,15 +28,19 @@ def knn_adjacency(Y, k):
     if not np.isfinite(d2).all():
         raise LocosparseError("squared distances between stimuli overflow")
     np.fill_diagonal(d2, np.inf)
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    rows = np.arange(b)
+    nearest = np.empty((k, b), dtype=np.intp)
+    for pick in nearest:
+        d2.argmin(axis=1, out=pick)
+        d2[rows, pick] = np.inf
     del d2
     W = np.zeros((b, b))
-    W[np.repeat(np.arange(b), k), nearest.reshape(-1)] = 1.0
-    return np.maximum(W, W.T)
+    W[rows, nearest] = W[nearest, rows] = 1.0
+    return W
 
 
 def laplacian_from_adjacency(W):
-    """D - W as a plain array.
+    """D - W, formed in W's own memory: consumes W and returns that array.
 
     W must be an exactly symmetric, finite, non-negative float64
     adjacency with a zero diagonal, as `knn_adjacency` and
@@ -44,7 +48,10 @@ def laplacian_from_adjacency(W):
     non-positive off-diagonal entries, and is exactly symmetric, as
     `symmetric_eigendecomposition` requires.
     """
-    return np.diag(W.sum(axis=1)) - W
+    deg = W.sum(axis=1)
+    np.subtract(0.0, W, out=W)  # not -W, which turns +0.0 weights into -0.0
+    np.fill_diagonal(W, deg)
+    return W
 
 
 def bipartite_laplacian(X):

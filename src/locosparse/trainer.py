@@ -94,7 +94,10 @@ def dictionary_step(A, Y, X, penalty, lr, rng):
     if not np.all(np.isfinite(grad)):
         raise LocosparseError("non-finite dictionary gradient")
     out = A - (lr / b) * grad
-    norms = np.sqrt((out * out).sum(axis=0))
+    with np.errstate(over="ignore"):  # an overflowed norm is rejected below
+        norms = np.sqrt((out * out).sum(axis=0))
+    if not np.isfinite(norms).all():
+        raise LocosparseError("atom norms overflow after the dictionary step")
     alive = norms >= _DEAD_NORM
     out[:, alive] /= norms[alive]
     unused = alive & (np.abs(X).sum(axis=1) == 0.0)

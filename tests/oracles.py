@@ -4,11 +4,12 @@ Everything here is deliberately written with a different algorithmic
 strategy than the library code it validates: support enumeration instead
 of sort-and-threshold, finite differences instead of analytic gradients,
 classical largest-pivot Jacobi instead of cyclic sweeps, breadth-first
-search instead of spectral structure, one candidate at a time instead of
-a broadcast tensor, one byte at a time instead of numpy blocks, a
-column-major walk instead of one contiguous row per stimulus, and
-every pixel of the frame for each scene stroke and disc instead of its
-own window.
+search instead of spectral structure, a full stable sort of every
+distance row and a transposed copy instead of k first-minimum passes,
+one candidate at a time instead of a broadcast tensor, one byte at a
+time instead of numpy blocks, a column-major walk instead of one
+contiguous row per stimulus, and every pixel of the frame for each scene
+stroke and disc instead of its own window.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from collections import deque
 import numpy as np
 
 from locosparse.rng import CounterRng, derive_seed
+from locosparse.simplex import pairwise_sq_distances
 from synthdata import _gaussian_blur
 
 
@@ -133,6 +135,20 @@ def connected_components_bfs(adjacency):
                     queue.append(v)
         current += 1
     return labels
+
+
+def knn_laplacian_argsort(Y, k):
+    """(W, D - W) for the binary union-symmetrized kNN graph over Y's
+    columns: each row's first k columns in a stable argsort of its squared
+    distances, the union taken as max(W, W.T), and D - W as a new array."""
+    d2 = pairwise_sq_distances(Y, Y)
+    np.fill_diagonal(d2, np.inf)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    b = d2.shape[0]
+    W = np.zeros((b, b))
+    W[np.repeat(np.arange(b), k), nearest.reshape(-1)] = 1.0
+    W = np.maximum(W, W.T)
+    return W, np.diag(W.sum(axis=1)) - W
 
 
 def pairwise_sq_distances_loops(A, Y):

@@ -434,6 +434,23 @@ def test_cluster_bipartite_overflow_exits_1_and_writes_nothing(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [data]
 
 
+def test_train_with_overflowing_atom_norms_exits_1_and_writes_nothing(tmp_path, capsys):
+    # a huge wl charge leaves finite atoms whose squared norms overflow; an
+    # inf norm would divide those atoms to zero
+    data = tmp_path / "image.sct"
+    save_tensor(dead_leaves_image(8), str(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = entrypoint(["train", "--data", str(data), "--out", str(tmp_path / "m"),
+                           "--penalty", "wl", "--lambda", "1e200", "--patch-size", "4",
+                           "--num-atoms", "8", "--epochs", "5", "--batch-size", "10",
+                           "--seed", "7"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("locosparse: error:") and "overflow" in err
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_render_rejects_non_2d_tensor(workspace):
     vec = workspace / "vector1d.sct"
     save_tensor(np.arange(4.0), str(vec))
@@ -538,3 +555,18 @@ def test_atom_eval_of_a_model_with_huge_steps_builds_no_schedule(gabor_model, tm
         assert code == 0
     assert ((tmp_path / "e.gabor.csv").read_bytes()
             == (tmp_path / "ref.gabor.csv").read_bytes())
+
+
+def test_sta_eval_of_a_model_with_huge_steps_exits_1_and_writes_nothing(gabor_model, tmp_path,
+                                                                       capsys):
+    # numpy refuses a 2**62-step schedule before allocating anything
+    meta = gabor_model.with_suffix(".meta").read_text(encoding="utf-8")
+    _copy_model(gabor_model, tmp_path / "m",
+                meta.replace("\nsteps=15\n", f"\nsteps={2 ** 62}\n").encode("utf-8"))
+    code = entrypoint(["eval", "--model", str(tmp_path / "m"), "--source", "sta",
+                       "--samples", "200", "--out", str(tmp_path / "e")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("locosparse: error:") and f"steps={2 ** 62}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.glob("e.*")) == []

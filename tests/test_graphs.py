@@ -1,5 +1,7 @@
 """kNN graph construction and Laplacian invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from locosparse.errors import ConfigError, LocosparseError
 from locosparse.graphs import (bipartite_laplacian, knn_adjacency,
                                laplacian_from_adjacency)
 
-from oracles import connected_components_bfs, jacobi_eigenvalues_classical
+from oracles import (connected_components_bfs, jacobi_eigenvalues_classical,
+                     knn_laplacian_argsort)
 
 
 def test_knn_known_small_case():
@@ -79,6 +82,49 @@ def test_knn_row_blocks_match_full_tensor(monkeypatch):
     assert W[4, 8] == 0.0
 
 
+def _same_bytes(got, want):
+    # tobytes tells -0.0 from +0.0, which array_equal does not
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_matches_argsort_oracle(Y, k):
+    want_W, want_L = knn_laplacian_argsort(Y, k)
+    W = knn_adjacency(Y, k)
+    assert _same_bytes(W, want_W), (Y.shape, k)
+    assert _same_bytes(laplacian_from_adjacency(W), want_L), (Y.shape, k)
+
+
+def test_knn_graph_and_laplacian_match_the_argsort_oracle_byte_for_byte():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        b = int(rng.integers(2, 30))
+        # integer coordinates: many distances tie, within rows and across them
+        Y = np.round(rng.normal(size=(int(rng.integers(1, 4)), b)))
+        for k in sorted({1, min(3, b - 1), b - 1}):
+            _assert_matches_argsort_oracle(Y, k)
+    Y = rng.normal(size=(3, 25))
+    Y[:, 10:20] = Y[:, :10]  # duplicate columns: zero-distance ties
+    Y[:, 24] = Y[:, 0]
+    for k in (1, 2, 3, 11, 24):
+        _assert_matches_argsort_oracle(Y, k)
+    _assert_matches_argsort_oracle(rng.normal(size=(64, 1024)), 4)  # one STA chunk
+
+
+def test_knn_laplacian_holds_one_b_by_b_array():
+    # beyond the distances, freed before the adjacency is allocated, the
+    # graph and its Laplacian share one array
+    b = 1024
+    Y = np.random.default_rng(5).normal(size=(64, b))
+    tracemalloc.start()
+    try:
+        G = laplacian_from_adjacency(knn_adjacency(Y, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (b, b)
+    assert peak <= b * b * 8 + 2 * 2**20, peak / 2**20
+
+
 def test_knn_rejects_bad_k():
     Y = np.zeros((3, 4))
     with pytest.raises(ConfigError):
@@ -117,10 +163,9 @@ def test_zero_eigenvalue_multiplicity_counts_components():
         b = int(rng.integers(6, 13))
         Y = rng.normal(size=(3, b))
         W = knn_adjacency(Y, 2)
-        G = laplacian_from_adjacency(W)
-        evals = jacobi_eigenvalues_classical(G)
+        components = connected_components_bfs(W)  # before the Laplacian consumes W
+        evals = jacobi_eigenvalues_classical(laplacian_from_adjacency(W))
         zero_mult = int((np.abs(evals) < 1e-8).sum())
-        components = connected_components_bfs(W)
         assert zero_mult == len(set(components))
 
 
@@ -138,13 +183,19 @@ def test_bipartite_laplacian_structure():
     assert M[0, 1] == 0.0 and M[2, 3] == 0.0
     assert M[0, 2] == -0.5 and M[1, 3] == -1.0
     assert np.abs(M.sum(axis=1)).max() < 1e-12
-    # exactly symmetric for any non-negative codes, as the eigensolver requires
+    # exactly symmetric for any non-negative codes, as the eigensolver requires,
+    # and byte for byte np.diag(deg) - W: an exact zero weight gives +0.0
     rng = np.random.default_rng(23)
     for _ in range(25):
-        codes = np.abs(rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9)))))
+        m, n = (int(v) for v in rng.integers(1, 9, size=2))
+        codes = np.abs(rng.normal(size=(m, n)))
         codes[rng.random(codes.shape) < 0.3] = 0.0
         L = bipartite_laplacian(codes)
         assert np.array_equal(L, L.T)
+        W = np.zeros((m + n, m + n))
+        W[:m, m:] = codes
+        W[m:, :m] = codes.T
+        assert _same_bytes(L, np.diag(W.sum(axis=1)) - W)
 
 
 def test_bipartite_laplacian_rejects_negative_codes():
