@@ -8,11 +8,13 @@ grid with closed-form amplitude in one broadcast _evaluate call, each image
 once (phi in [0, pi)), refines the two best starts with damped Gauss-Newton
 (Levenberg-Marquardt) kept inside the one feasible region of _in_bounds,
 and canonicalizes the result into fixed ranges. Each trial is evaluated
-once, and an accepted trial's shared terms give the next Jacobian. A fit is
-converged when the step tolerance bites with no trial rejected at a bound
-in the final iteration and the relative residual is below 0.5, so a
-converged fit rests at no bound but the frequency floor: a trial below that
-floor is rejected without marking.
+once, and an accepted trial's shared terms give the next Jacobian. An
+accepted trial sets the damping from its gain ratio, the actual over the
+predicted decrease of the residual (Nielsen, 1999); a rejected one
+multiplies it by ten. A fit is converged when the step tolerance bites
+with no trial rejected at a bound in the final iteration and the relative
+residual is below 0.5, so a converged fit rests at no bound but the
+frequency floor: a trial below that floor is rejected without marking.
 """
 
 import math
@@ -140,7 +142,12 @@ def _coarse_grid(flat, u, v, u0, v0, sigma0):
 def _refine(q, flat, u, v):
     """Damped Gauss-Newton inside the feasible region; returns (params, sse, step_tol_met).
 
-    A failed solve or a non-finite trial only raises the damping. A
+    An accepted trial scales the damping mu by max(1/3, 1 - (2 rho - 1)^3),
+    rho being its gain ratio: the decrease of sse over the decrease
+    delta . (mu delta - g) that the linear model predicts, capped at 1,
+    and 1 where that prediction is not positive (delta = 0 at an exact
+    fit). A rejected trial multiplies mu by ten, and mu stays at or above
+    1e-12. A failed solve or a non-finite trial only raises the damping. A
     finite trial outside _in_bounds raises it too, so the returned
     parameters stay in the region, and unless its |f| is at or below the
     frequency floor it marks the iteration as at a bound. step_tol_met is
@@ -180,8 +187,10 @@ def _refine(q, flat, u, v):
             trial_resid = image - image.sum() / n - flat
             trial_sse = float(trial_resid @ trial_resid)
             if math.isfinite(trial_sse) and trial_sse <= sse:
+                pred = float(delta @ (mu * delta - g))
+                rho = min((sse - trial_sse) / pred, 1.0) if pred > 0.0 else 1.0
                 q, resid, sse, jacobian = trial, trial_resid, trial_sse, trial_jacobian
-                mu = max(mu / 10.0, 1e-12)
+                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
                 break
             mu *= 10.0
         else:  # no acceptable step in 50 tries

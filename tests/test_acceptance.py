@@ -15,6 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from locosparse import gabor
 from locosparse.cli import entrypoint
 from locosparse.encoder import EncoderConfig, encode, momentum_schedule
 from locosparse.gabor import (_FREQ_CEIL, _FREQ_FLOOR, _SIGMA_FLOOR, GaborParams, fold_phase,
@@ -26,6 +27,7 @@ from locosparse.rfeval import sta_receptive_fields
 from locosparse.simplex import project_columns
 from locosparse.spectral import spectral_cluster
 from locosparse.tensor import save_tensor
+from locosparse.trainer import load_model
 
 from oracles import (connected_components_bfs, fd_gradient,
                      jacobi_eigenvalues_classical,
@@ -337,6 +339,35 @@ def test_converged_gate_atom_fits_lie_on_the_patch(contrast_run, capsys):
             assert not outside, (name, outside)
             counts.append(len(rows))
         info["detail"] = f"wl {counts[0]}, l1 {counts[1]} converged fits, all inside every bound"
+
+
+def test_gate_atom_fits_stay_within_their_work_bound(contrast_run, monkeypatch, capsys):
+    # model evaluations (the grid, each start, each trial) of the gate atom
+    # fits: about 4200 (wl) and 8800 (l1) with the damping set from the
+    # gain ratio, against 6900-7000 and 15300-15500 when every accepted
+    # step divided it by ten, under the native, Haswell and Prescott kernels
+    calls = [0]
+    evaluate = gabor._evaluate
+
+    def counted(q, u, v):
+        calls[0] += 1
+        return evaluate(q, u, v)
+
+    monkeypatch.setattr(gabor, "_evaluate", counted)
+    with _verdict(capsys, "gate atom fits, model evaluations under their work bound") as info:
+        root, _ = contrast_run
+        details = []
+        for penalty, tag, bound in (("wl", "wl", 5500), ("l1", "sc", 12000)):
+            dictionary, _ = load_model(str(root / f"{tag}_run"))
+            side = dictionary.patch_side
+            calls[0] = 0
+            fits = [gabor_fit(atom.reshape(side, side)) for atom in dictionary.atoms.T]
+            with open(root / f"{tag}_eval.gabor.csv", newline="", encoding="utf-8") as fh:
+                flags = [row["converged"] == "true" for row in csv.DictReader(fh)]
+            assert [fit.converged for fit in fits] == flags, penalty
+            assert calls[0] < bound, (penalty, calls[0])
+            details.append(f"{penalty} {calls[0]} < {bound} ({sum(flags)} converged)")
+        info["detail"] = ", ".join(details)
 
 
 def test_criterion_10_pipeline_is_bit_reproducible(contrast_run, tmp_path, capsys):

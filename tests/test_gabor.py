@@ -278,6 +278,15 @@ def test_start_forced_against_the_edge_is_not_converged(u0):
     assert q[1] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_field_equal_to_a_grid_start_fits_exactly():
+    # the best start is the field itself, so its first step is delta = 0
+    # and the predicted decrease that sets the damping is 0 too
+    field = render_gabor([1, 3, 3, _GRID_THETAS[0], 2, 2, _GRID_FREQS[2], 0], 8)
+    fit = gabor_fit(field)
+    assert fit.residual == 0.0
+    assert fit.converged
+
+
 def _thin_gabor():
     # sigma_x = 0.2 is below the sigma floor: the least-squares fit wants
     # an envelope thinner than the fitter allows
