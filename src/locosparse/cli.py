@@ -149,7 +149,7 @@ def _cmd_eval(args):
     side = dictionary.patch_side
 
     if args.source == "atoms":
-        fields = [atoms[:, j].reshape(side, side) for j in range(atoms.shape[1])]
+        fields = atoms.T.reshape(-1, side, side)
     else:
         def respond(Y):
             return encode(Y, atoms, meta["encoder"])[0]

@@ -158,9 +158,13 @@ def _refine(q, flat, u, v):
     """
     n = flat.size
     side = math.isqrt(n)
+
+    def residual(image):  # the DC-removed model minus the target, and its sse
+        resid = image - image.sum() / n - flat
+        return resid, float(resid @ resid)
+
     image, jacobian = _evaluate(q.tolist(), u, v)
-    resid = image - image.sum() / n - flat
-    sse = float(resid @ resid)
+    resid, sse = residual(image)
     mu = 1e-3
     hit = False
     eye = np.eye(q.size)
@@ -184,8 +188,7 @@ def _refine(q, flat, u, v):
                 mu *= 10.0
                 continue
             image, trial_jacobian = _evaluate(trial_q, u, v)
-            trial_resid = image - image.sum() / n - flat
-            trial_sse = float(trial_resid @ trial_resid)
+            trial_resid, trial_sse = residual(image)
             if math.isfinite(trial_sse) and trial_sse <= sse:
                 pred = float(delta @ (mu * delta - g))
                 rho = min((sse - trial_sse) / pred, 1.0) if pred > 0.0 else 1.0

@@ -23,10 +23,9 @@ class PatchSamplerConfig:
 
 @dataclass(frozen=True)
 class StimulusBatch:
-    """A d x n matrix whose columns are vectorized patches, d = patch_side**2."""
+    """A d x n matrix whose columns are vectorized patches."""
 
     patches: np.ndarray
-    patch_side: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.patches)):
@@ -67,10 +66,13 @@ def sample_patches(images, cfg):
     if cfg.standardize:
         constant = np.all(P == P[:, :1], axis=1)
         P -= P.mean(axis=1, keepdims=True)
-        # one 1 x d @ d x 1 product per patch rounds as np.linalg.norm of that patch;
-        # np.linalg.norm(P, axis=1) does not
-        norms = np.sqrt((P[:, None, :] @ P[:, :, None]).ravel())
+        norms = _row_norms(P)
         P[constant] = 0.0
         norms[constant] = 1.0
         P /= norms[:, None]
-    return StimulusBatch(np.ascontiguousarray(P.T), side)
+    return StimulusBatch(np.ascontiguousarray(P.T))
+
+
+def _row_norms(P):
+    """Each row's norm, rounded as np.linalg.norm(row) rounds it (norm(P, axis=1) does not)."""
+    return np.sqrt((P[:, None, :] @ P[:, :, None]).ravel())

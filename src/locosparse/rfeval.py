@@ -61,13 +61,10 @@ def phase_histogram(folded, num_bins):
 
 
 def symmetry_score(folded):
-    """Balance min(L, R) / max(L, R) of folded phases below 45 degrees (L)
-    and at or above it (R), for a non-empty array of folded phases.
-
-    These are the two bins that `phase_histogram(folded, 2)` fills. 1
-    means the two halves carry equal mass; values near 0 mean the
-    distribution is piled up on one side.
+    """Balance min(L, R) / max(L, R) of the two bins of
+    `phase_histogram(folded, 2)`, folded phases below 45 degrees (L) and at
+    or above it (R): 1 means the halves carry equal mass, and near 0 the
+    phases pile up on one side.
     """
-    left = int(np.count_nonzero(folded < 45.0))
-    right = int(np.count_nonzero(folded >= 45.0))
-    return min(left, right) / max(left, right)
+    counts, _ = phase_histogram(folded, 2)
+    return float(counts.min() / counts.max())

@@ -50,13 +50,15 @@ def pairwise_sq_distances(A, Y):
     Xeon it was measured on), which 16 MiB blocks overflowed. Both
     operands are made C-contiguous first, so every block is a C-ordered
     d x block x n tensor and `einsum` sums each entry over d in
-    sequence, whatever the block size (but for one atom against one
-    stimulus, a plain length-d dot product). With a transposed view (the
-    stimulus chunks of `sta_receptive_fields`), a one-atom block would be
-    laid out with d innermost and summed in another order.
+    sequence, whatever the block size. A single stimulus is laid out as
+    two equal columns, since one atom against one stimulus would be
+    summed as a plain dot product. With a transposed view (the stimulus
+    chunks of `sta_receptive_fields`), a one-atom block would be laid
+    out with d innermost and summed in another order.
     """
+    one = Y.shape[1] == 1
     A = np.ascontiguousarray(A, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    Y = np.ascontiguousarray(np.repeat(Y, 2, axis=1) if one else Y, dtype=np.float64)
     (d, m), n = A.shape, Y.shape[1]
     block = max(1, _DIFF_SCRATCH_BYTES // (A.itemsize * max(d, 1) * max(n, 1)))
     D = np.empty((m, n))
@@ -64,4 +66,4 @@ def pairwise_sq_distances(A, Y):
         diff = A[:, start:start + block, None] - Y[:, None, :]
         np.einsum("dmn,dmn->mn", diff, diff, out=D[start:start + block])
         del diff
-    return D
+    return np.ascontiguousarray(D[:, :1]) if one else D

@@ -6,13 +6,13 @@ by column renormalization. Atoms that lose their norm or receive no
 activation in a batch are redrawn from the seeded generator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import EncoderConfig, encode
 from .errors import ConfigError, LocosparseError
-from .patches import MIN_PATCH_SIDE, PatchSamplerConfig, sample_patches
+from .patches import MIN_PATCH_SIDE, PatchSamplerConfig, _row_norms, sample_patches
 from .penalties import PenaltyConfig
 from .rng import CounterRng, derive_seed
 from .tensor import load_tensor, read_file, save_tensor, write_file
@@ -64,7 +64,6 @@ class TrainedModel:
     dictionary: Dictionary
     config: TrainConfig
     loss_history: np.ndarray
-    reinit_events: list = field(default_factory=list)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.loss_history)):
@@ -74,7 +73,7 @@ class TrainedModel:
 def init_dictionary(d, m, seed):
     """Standard-normal entries, then unit-norm columns; d, m >= 1."""
     atoms = CounterRng(seed).normals(d * m).reshape(d, m)
-    norms = np.sqrt((atoms * atoms).sum(axis=0))
+    norms = np.linalg.norm(atoms, axis=0)
     norms[norms == 0.0] = 1.0
     return atoms / norms
 
@@ -95,7 +94,7 @@ def dictionary_step(A, Y, X, penalty, lr, rng):
         raise LocosparseError("non-finite dictionary gradient")
     out = A - (lr / b) * grad
     with np.errstate(over="ignore"):  # an overflowed norm is rejected below
-        norms = np.sqrt((out * out).sum(axis=0))
+        norms = np.linalg.norm(out, axis=0)
     if not np.isfinite(norms).all():
         raise LocosparseError("atom norms overflow after the dictionary step")
     alive = norms >= _DEAD_NORM
@@ -103,10 +102,9 @@ def dictionary_step(A, Y, X, penalty, lr, rng):
     unused = alive & (np.abs(X).sum(axis=1) == 0.0)
     redraw = np.concatenate((np.flatnonzero(~alive), np.flatnonzero(unused)))
     if redraw.size:
-        # one draw for all columns matches one draw per column, in this order;
-        # each 1 x d @ d x 1 product rounds as np.linalg.norm of that draw
+        # one draw for all columns matches one draw per column, in this order
         C = rng.normals(out.shape[0] * redraw.size).reshape(redraw.size, out.shape[0])
-        out[:, redraw] = (C / np.sqrt((C[:, None, :] @ C[:, :, None]).ravel())[:, None]).T
+        out[:, redraw] = (C / _row_norms(C)[:, None]).T
     return out, np.sort(redraw).tolist()
 
 
@@ -122,19 +120,15 @@ def train(images, cfg):
     atoms = init_dictionary(d, cfg.num_atoms, derive_seed(cfg.seed, "dict-init"))
     reinit_rng = CounterRng(derive_seed(cfg.seed, "dict-reinit"))
     losses = np.empty(cfg.epochs)
-    reinit_events = []
     for batch_idx in range(cfg.epochs):
         sampler = PatchSamplerConfig(cfg.patch_side, cfg.batch_size,
                                      derive_seed(cfg.seed, "batch", batch_idx),
                                      standardize=cfg.standardize)
-        batch = sample_patches(images, sampler)
-        Y = batch.patches
+        Y = sample_patches(images, sampler).patches
         X, objective = encode(Y, atoms, encoder)
         losses[batch_idx] = objective / cfg.batch_size
-        atoms, redrawn = dictionary_step(atoms, Y, X, cfg.penalty, 1.0, reinit_rng)
-        if redrawn:
-            reinit_events.append((batch_idx, tuple(redrawn)))
-    return TrainedModel(Dictionary(atoms, cfg.patch_side), cfg, losses, reinit_events)
+        atoms, _ = dictionary_step(atoms, Y, X, cfg.penalty, 1.0, reinit_rng)
+    return TrainedModel(Dictionary(atoms, cfg.patch_side), cfg, losses)
 
 
 # The .meta file, one key=value line each in this order: the key, the parser

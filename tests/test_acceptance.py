@@ -7,10 +7,12 @@ pipeline on a synthetic scene with two planted stroke populations.
 
 import csv
 import dataclasses
+import hashlib
 import itertools
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +370,63 @@ def test_gate_atom_fits_stay_within_their_work_bound(contrast_run, monkeypatch, 
             assert calls[0] < bound, (penalty, calls[0])
             details.append(f"{penalty} {calls[0]} < {bound} ({sum(flags)} converged)")
         info["detail"] = ", ".join(details)
+
+
+def test_gate_atom_fits_are_invariant_under_the_patch_symmetries(contrast_run, capsys):
+    # rotating, transposing, mirroring or negating a field maps a Gabor onto a
+    # Gabor with the same folded phase, so its fit may change only by rounding
+    transforms = {"rot90": np.rot90, "transpose": np.transpose,
+                  "left-right flip": np.fliplr, "negation": np.negative}
+    with _verdict(capsys, "gate atom fits, invariant under the patch symmetries") as info:
+        root, _ = contrast_run
+        checked = 0
+        for tag in ("wl", "sc"):
+            dictionary, _ = load_model(str(root / f"{tag}_run"))
+            side = dictionary.patch_side
+            with open(root / f"{tag}_eval.gabor.csv", newline="", encoding="utf-8") as fh:
+                flags = [row["converged"] == "true" for row in csv.DictReader(fh)]
+            # the first four converged atoms and the first two unconverged ones
+            chosen = ([j for j, flag in enumerate(flags) if flag][:4]
+                      + [j for j, flag in enumerate(flags) if not flag][:2])
+            for j in chosen:
+                image = dictionary.atoms[:, j].reshape(side, side)
+                fit = gabor_fit(image)
+                for name, transform in transforms.items():
+                    other = gabor_fit(transform(image))
+                    where = (tag, j, name)
+                    assert other.converged == fit.converged, where
+                    assert abs(fold_phase(other.phase) - fold_phase(fit.phase)) <= 1e-4, where
+                    assert abs(other.residual - fit.residual) <= 1e-3, where
+                    checked += 1
+        info["detail"] = f"{checked} transformed fits agree"
+
+
+# The contrast-run artifacts that every OpenBLAS kernel writes alike (the same
+# bytes under SkylakeX, Haswell and Prescott); the others differ in the last
+# bits of the atoms and of the fitted values. tests/make_golden.py records
+# their SHA-256 in the golden table.
+GOLDEN_ARTIFACTS = ("scene.sct", "wl_run.meta", "sc_run.meta",
+                    "wl_eval.phases.csv", "wl_eval.summary.txt",
+                    "sc_eval.phases.csv", "sc_eval.summary.txt",
+                    "wl_grid.svg", "sc_grid.svg")
+GOLDEN_TABLE = Path(__file__).with_name("golden_seed7.txt")
+
+
+def test_kernel_independent_artifacts_match_the_golden_table(contrast_run, capsys):
+    # a "numpy <version>" line, then "<SHA-256 hex>  <artifact name>" lines
+    rows = [line.split() for line in GOLDEN_TABLE.read_text(encoding="utf-8").splitlines()
+            if line and not line.startswith("#")]
+    version = dict(rows)["numpy"]
+    digests = {name: digest for digest, name in rows if digest != "numpy"}
+    if version.split(".")[0] != np.__version__.split(".")[0]:
+        pytest.skip(f"the golden table was recorded on numpy {version}; whether it "
+                    f"holds on numpy {np.__version__} has not been checked")
+    with _verdict(capsys, "gate artifacts, SHA-256 as in the golden table") as info:
+        root, _ = contrast_run
+        assert sorted(digests) == sorted(GOLDEN_ARTIFACTS)
+        for name, digest in digests.items():
+            assert hashlib.sha256((root / name).read_bytes()).hexdigest() == digest, name
+        info["detail"] = f"{len(digests)} artifacts as recorded on numpy {version}"
 
 
 def test_criterion_10_pipeline_is_bit_reproducible(contrast_run, tmp_path, capsys):

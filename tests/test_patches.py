@@ -41,7 +41,6 @@ def test_shapes_and_count():
     img = np.zeros((12, 12))
     batch = sample_patches(img, PatchSamplerConfig(3, 17, seed=0))
     assert batch.patches.shape == (9, 17)
-    assert batch.patch_side == 3
 
 
 def test_standardize_gives_zero_mean_unit_norm():
@@ -89,5 +88,5 @@ def test_rank_errors():
 
 def test_stimulus_batch_contract():
     with pytest.raises(LocosparseError) as excinfo:
-        StimulusBatch(np.full((4, 2), np.nan), patch_side=2)
+        StimulusBatch(np.full((4, 2), np.nan))
     assert excinfo.type is LocosparseError

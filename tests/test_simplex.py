@@ -166,6 +166,27 @@ def test_pairwise_distances_blocks_match_single_block(monkeypatch):
     assert pairwise_sq_distances(A, Y)[[1, 4, 9], 2].tolist() == [0.0, 0.0, 0.0]
 
 
+def test_pairwise_distances_to_one_stimulus_do_not_depend_on_the_blocks(monkeypatch):
+    # every entry is summed over d in sequence, also when an atom ends up
+    # alone in a block against a single stimulus
+    rng = np.random.default_rng(37)
+    d, m = 64, 10
+    for _ in range(5):
+        A = rng.normal(size=(d, m))
+        y = rng.normal(size=(d, 1))
+        want = np.zeros((m, 1))
+        for k in range(d):
+            diff = A[k, :, None] - y[k]
+            want += diff * diff
+        # 1 to 2m column scratches: every block of 1 to m atoms, whether the
+        # stimulus takes one column of a block or more
+        for columns in range(1, 2 * m + 1):
+            monkeypatch.setattr(simplex, "_DIFF_SCRATCH_BYTES", columns * A.itemsize * d)
+            got = pairwise_sq_distances(A, y)
+            assert got.shape == (m, 1) and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), columns
+
+
 def test_pairwise_distances_scratch_is_bounded():
     rng = np.random.default_rng(35)
     A = rng.normal(size=(64, 64))
