@@ -6,7 +6,7 @@ part, then its proximal step, the simplex projection (wl and lap
 penalties) or soft thresholding (the l1 baseline, where a simplex
 constraint would pin the l1 norm to one and neuter the penalty). The
 step size is the inverse squared spectral norm of the dictionary.
-Whatever a penalty needs from the batch, `PenaltyConfig.bind` builds.
+Whatever a penalty needs from the batch, its `BatchObjective` builds.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LocosparseError
-from .penalties import PenaltyConfig
+from .penalties import BatchObjective, PenaltyConfig
 
 MOMENTUM_MODES = ("aswritten", "none")
 
@@ -78,7 +78,7 @@ def encode(Y, A, cfg):
         and lap the codes land on the probability simplex column-wise;
         the l1 path returns soft-thresholded codes instead.
     """
-    pen = cfg.penalty.bind(A, Y)
+    pen = BatchObjective(cfg.penalty, A, Y)
 
     alpha = spectral_norm_sq_inv(A)
     _, gammas = momentum_schedule(cfg.steps, cfg.momentum_mode)

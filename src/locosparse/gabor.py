@@ -99,9 +99,8 @@ def _evaluate(q, u, v):
 
 
 def render_gabor(params, side):
-    """Evaluate a Gabor on a side x side pixel grid."""
-    q = _vector(params) if isinstance(params, GaborParams) else np.asarray(params, float)
-    return _evaluate(q, *_coords(side))[0].reshape(side, side)
+    """Evaluate the Gabor of a GaborParams on a side x side pixel grid."""
+    return _evaluate(_vector(params), *_coords(side))[0].reshape(side, side)
 
 
 def _in_bounds(q, side):

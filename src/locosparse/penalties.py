@@ -42,10 +42,6 @@ class PenaltyConfig:
         if self.knn_k < 1:
             raise ConfigError(f"knn_k must be positive, got {self.knn_k}")
 
-    def bind(self, A, Y):
-        """The batch objective of codes X for dictionary A and stimuli Y."""
-        return BatchObjective(self, A, Y)
-
     def atom_gradient(self, A, Y, X):
         """Gradient in A of 1/2 ||Y - AX||_F^2 plus the penalty.
 

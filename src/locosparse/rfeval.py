@@ -20,11 +20,12 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed):
         seed: stream seed; the same seed reproduces the fields exactly.
 
     Returns an m x patch_side x patch_side stack whose image j is
-    RF_j = sum_s x_j(y_s) y_s / sum_s x_j(y_s). Noise is drawn per
+    RF_j = sum_s x_j(y_s) y_s / sum_s |x_j(y_s)|, so that signed (l1)
+    responses do not cancel in the normalizer. Noise is drawn per
     sample (all d values of a stimulus are consecutive in the stream),
     so the draw does not depend on how many samples remain in the final
-    chunk. A dead neuron, whose total response stays below 1e-9, gets a
-    zero image rather than a division by nearly nothing.
+    chunk. A dead neuron, whose total absolute response stays below
+    1e-9, gets a zero image rather than a division by nearly nothing.
     """
     d = patch_side * patch_side
     rng = CounterRng(derive_seed(seed, "sta"))
@@ -39,7 +40,7 @@ def sta_receptive_fields(respond, patch_side, num_samples, seed):
             weighted = np.zeros((d, X.shape[0]))
             totals = np.zeros(X.shape[0])
         weighted += Y @ X.T
-        totals += X.sum(axis=1)
+        totals += np.abs(X).sum(axis=1)
         done += c
     live = totals >= _DEAD_RESPONSE
     fields = np.zeros((totals.size, d))

@@ -10,6 +10,7 @@ raises LocosparseError naming the path.
 """
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -18,7 +19,8 @@ from .errors import LocosparseError
 
 _MAGIC = b"SCT1"
 _MAX_RANK = 4
-_WHITESPACE = (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C)
+# the lookahead stops a comment giving characters back: a header ending in one is truncated
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?=[\r\n]|\Z))*([^\s#]+)")
 
 
 def as_tensor(data):
@@ -89,19 +91,11 @@ def _parse_pgm(buf, path):
 
     def token():
         nonlocal pos
-        while pos < len(buf):
-            c = buf[pos]
-            if c == 0x23:  # '#' comment runs to the end of the line
-                while pos < len(buf) and buf[pos] not in (0x0A, 0x0D):
-                    pos += 1
-            elif c in _WHITESPACE:
-                pos += 1
-            else:
-                start = pos
-                while pos < len(buf) and buf[pos] not in _WHITESPACE and buf[pos] != 0x23:
-                    pos += 1
-                return buf[start:pos]
-        raise LocosparseError(f"{path}: truncated PGM header")
+        match = _PGM_TOKEN.match(buf, pos)
+        if match is None:
+            raise LocosparseError(f"{path}: truncated PGM header")
+        pos = match.end()
+        return match[1]
 
     if token() != b"P5":
         raise LocosparseError(f"{path}: not a binary PGM (P5) file")

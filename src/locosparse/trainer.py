@@ -73,9 +73,7 @@ class TrainedModel:
 def init_dictionary(d, m, seed):
     """Standard-normal entries, then unit-norm columns; d, m >= 1."""
     atoms = CounterRng(seed).normals(d * m).reshape(d, m)
-    norms = np.linalg.norm(atoms, axis=0)
-    norms[norms == 0.0] = 1.0
-    return atoms / norms
+    return atoms / np.linalg.norm(atoms, axis=0)
 
 
 def dictionary_step(A, Y, X, penalty, lr, rng):

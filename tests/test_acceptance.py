@@ -12,7 +12,6 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,13 +23,14 @@ from locosparse.gabor import (_FREQ_CEIL, _FREQ_FLOOR, _SIGMA_FLOOR, GaborParams
                               gabor_fit, render_gabor)
 from locosparse.graphs import (bipartite_laplacian, knn_adjacency,
                                laplacian_from_adjacency)
-from locosparse.penalties import PenaltyConfig
+from locosparse.penalties import BatchObjective, PenaltyConfig
 from locosparse.rfeval import sta_receptive_fields
 from locosparse.simplex import project_columns
 from locosparse.spectral import spectral_cluster
 from locosparse.tensor import save_tensor
 from locosparse.trainer import load_model
 
+from make_golden import GOLDEN_ARTIFACTS, KERNEL_ARTIFACTS, openblas_core, read_golden_table
 from oracles import (connected_components_bfs, fd_gradient,
                      jacobi_eigenvalues_classical,
                      simplex_projection_bruteforce)
@@ -105,8 +105,8 @@ def test_criterion_02_analytic_gradients_match_finite_differences(capsys):
                 return 0.5 * float((R * R).sum()) + lam * float(np.trace(Xv @ G @ Xv.T))
 
             wl = PenaltyConfig("wl", lam)
-            code = wl.bind(A, y[:, None]).code_gradient(x[:, None])[:, 0]
-            graph = PenaltyConfig("lap", lam, knn_k=3).bind(A, Y).code_gradient(X)
+            code = BatchObjective(wl, A, y[:, None]).code_gradient(x[:, None])[:, 0]
+            graph = BatchObjective(PenaltyConfig("lap", lam, knn_k=3), A, Y).code_gradient(X)
             worst["code"] = max(worst["code"], rel(code, fd_gradient(f_code, x)))
             worst["atom"] = max(worst["atom"], rel(
                 wl.atom_gradient(A, Y, X), fd_gradient(f_atom, A)))
@@ -401,32 +401,26 @@ def test_gate_atom_fits_are_invariant_under_the_patch_symmetries(contrast_run, c
         info["detail"] = f"{checked} transformed fits agree"
 
 
-# The contrast-run artifacts that every OpenBLAS kernel writes alike (the same
-# bytes under SkylakeX, Haswell and Prescott); the others differ in the last
-# bits of the atoms and of the fitted values. tests/make_golden.py records
-# their SHA-256 in the golden table.
-GOLDEN_ARTIFACTS = ("scene.sct", "wl_run.meta", "sc_run.meta",
-                    "wl_eval.phases.csv", "wl_eval.summary.txt",
-                    "sc_eval.phases.csv", "sc_eval.summary.txt",
-                    "wl_grid.svg", "sc_grid.svg")
-GOLDEN_TABLE = Path(__file__).with_name("golden_seed7.txt")
-
-
-def test_kernel_independent_artifacts_match_the_golden_table(contrast_run, capsys):
-    # a "numpy <version>" line, then "<SHA-256 hex>  <artifact name>" lines
-    rows = [line.split() for line in GOLDEN_TABLE.read_text(encoding="utf-8").splitlines()
-            if line and not line.startswith("#")]
-    version = dict(rows)["numpy"]
-    digests = {name: digest for digest, name in rows if digest != "numpy"}
+def test_contrast_artifacts_match_the_golden_table(contrast_run, capsys):
+    # all 15 artifacts on a core the table records, the 9 that every kernel
+    # writes alike on any other
+    version, digests, by_core = read_golden_table()
     if version.split(".")[0] != np.__version__.split(".")[0]:
         pytest.skip(f"the golden table was recorded on numpy {version}; whether it "
                     f"holds on numpy {np.__version__} has not been checked")
-    with _verdict(capsys, "gate artifacts, SHA-256 as in the golden table") as info:
+    core = openblas_core()
+    with _verdict(capsys, f"gate artifacts on OpenBLAS core {core}, SHA-256 as in the "
+                          "golden table") as info:
         root, _ = contrast_run
         assert sorted(digests) == sorted(GOLDEN_ARTIFACTS)
-        for name, digest in digests.items():
+        assert all(sorted(row) == sorted(KERNEL_ARTIFACTS) for row in by_core.values())
+        expected = {**digests, **by_core.get(core, {})}
+        for name, digest in expected.items():
             assert hashlib.sha256((root / name).read_bytes()).hexdigest() == digest, name
-        info["detail"] = f"{len(digests)} artifacts as recorded on numpy {version}"
+        info["detail"] = f"{len(expected)} artifacts as recorded on numpy {version}"
+        if core not in by_core:
+            info["detail"] += (f"; core {core} is not recorded for the other "
+                               f"{len(KERNEL_ARTIFACTS)}")
 
 
 def test_criterion_10_pipeline_is_bit_reproducible(contrast_run, tmp_path, capsys):

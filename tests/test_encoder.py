@@ -11,7 +11,7 @@ from locosparse.encoder import (MOMENTUM_MODES, EncoderConfig, encode,
                                 momentum_schedule, spectral_norm_sq_inv)
 from locosparse.errors import ConfigError, LocosparseError
 from locosparse.graphs import knn_adjacency, laplacian_from_adjacency
-from locosparse.penalties import KINDS, PenaltyConfig
+from locosparse.penalties import KINDS, BatchObjective, PenaltyConfig
 from locosparse.simplex import pairwise_sq_distances, project_columns
 
 from oracles import jacobi_eigenvalues_classical, project_columns_colwise
@@ -183,7 +183,7 @@ def test_returned_objective_is_bound_objective_of_codes():
     pen = PenaltyConfig("wl", 0.5)
     X, objective = encode(Y, A, EncoderConfig(pen))
     assert isinstance(objective, float)
-    assert objective == pen.bind(A, Y).objective(X)
+    assert objective == BatchObjective(pen, A, Y).objective(X)
 
 
 def test_lap_penalty_needs_matching_graph():

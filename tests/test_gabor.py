@@ -88,11 +88,11 @@ def test_jacobian_matches_finite_differences():
     side = 10
     q0 = np.array([0.8, 4.2, 5.1, 0.7, 2.0, 3.0, 0.21, 0.5])
     image, jacobian = _evaluate(q0, *_coords(side))
-    assert np.array_equal(image, render_gabor(q0, side).ravel())
+    assert np.array_equal(image, render_gabor(GaborParams(*q0), side).ravel())
     J = jacobian()
     for pix in (0, 17, 44, 99):
         def value(q):
-            return render_gabor(q, side).ravel()[pix]
+            return render_gabor(GaborParams(*q), side).ravel()[pix]
         grad = fd_gradient(value, q0)
         assert np.allclose(J[pix], grad, atol=1e-5)
 
@@ -176,8 +176,8 @@ def test_canonical_vector_preserves_image():
     side = 12
     raw = np.array([-0.7, 5.0, 6.0, 4.0, -2.5, 3.0, -0.2, 7.0])
     canon = canonical_vector(raw)
-    assert np.allclose(render_gabor(raw, side), render_gabor(canon, side),
-                       atol=1e-12)
+    assert np.allclose(render_gabor(GaborParams(*raw), side),
+                       render_gabor(GaborParams(*canon), side), atol=1e-12)
     K, _, _, theta, sx, sy, f, phi = canon
     assert K > 0 and sx > 0 and sy > 0 and f > 0
     assert 0.0 <= theta < math.pi
@@ -193,7 +193,8 @@ def test_canonical_vector_folds_rounded_thetas_into_range(theta):
     canon = canonical_vector(raw)
     assert 0.0 <= canon[3] < math.pi
     assert -math.pi < canon[7] <= math.pi
-    assert np.allclose(render_gabor(raw, side), render_gabor(canon, side), atol=1e-12)
+    assert np.allclose(render_gabor(GaborParams(*raw), side),
+                       render_gabor(GaborParams(*canon), side), atol=1e-12)
 
 
 def test_canonical_vector_fixed_point():
@@ -281,7 +282,7 @@ def test_start_forced_against_the_edge_is_not_converged(u0):
 def test_field_equal_to_a_grid_start_fits_exactly():
     # the best start is the field itself, so its first step is delta = 0
     # and the predicted decrease that sets the damping is 0 too
-    field = render_gabor([1, 3, 3, _GRID_THETAS[0], 2, 2, _GRID_FREQS[2], 0], 8)
+    field = render_gabor(GaborParams(1, 3, 3, _GRID_THETAS[0], 2, 2, _GRID_FREQS[2], 0), 8)
     fit = gabor_fit(field)
     assert fit.residual == 0.0
     assert fit.converged
@@ -359,10 +360,3 @@ def test_shape_metrics():
     nx, ny = shape_metrics(p)
     assert nx == pytest.approx(0.5)
     assert ny == pytest.approx(1.0)
-
-
-def test_render_accepts_params_or_vector():
-    p = _params()
-    a = render_gabor(p, 9)
-    b = render_gabor(_vector(p), 9)
-    assert np.array_equal(a, b)

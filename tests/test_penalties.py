@@ -6,7 +6,7 @@ import pytest
 from locosparse import penalties
 from locosparse.errors import ConfigError
 from locosparse.graphs import knn_adjacency, laplacian_from_adjacency
-from locosparse.penalties import PenaltyConfig
+from locosparse.penalties import BatchObjective, PenaltyConfig
 
 from oracles import fd_gradient, pairwise_sq_distances_loops
 
@@ -37,8 +37,8 @@ def test_penalty_config_validation():
 def test_l1_penalty_value():
     X = np.array([[1.0, -2.0], [0.0, 3.0]])
     A = np.eye(2)
-    assert PenaltyConfig("l1", 0.5).bind(A, X).objective(X) == pytest.approx(3.0)
-    assert PenaltyConfig("l1", 0.0).bind(A, X).objective(X) == 0.0
+    assert BatchObjective(PenaltyConfig("l1", 0.5), A, X).objective(X) == pytest.approx(3.0)
+    assert BatchObjective(PenaltyConfig("l1", 0.0), A, X).objective(X) == 0.0
 
 
 def test_wl_penalty_matches_explicit_sum():
@@ -48,7 +48,7 @@ def test_wl_penalty_matches_explicit_sum():
     X = np.abs(rng.normal(size=(3, 4)))
     lam = 0.7
     total = float((X * pairwise_sq_distances_loops(A, Y)).sum())
-    got = PenaltyConfig("wl", lam).bind(A, Y).objective(X)
+    got = BatchObjective(PenaltyConfig("wl", lam), A, Y).objective(X)
     assert got == pytest.approx(_fit(Y, A, X) + lam * total)
 
 
@@ -67,7 +67,7 @@ def test_wl_code_gradient_matches_finite_differences():
             r = y[:, 0] - A @ z
             return 0.5 * float(r @ r) + lam * float(dists @ z)
 
-        got = PenaltyConfig("wl", lam).bind(A, y).code_gradient(x[:, None])[:, 0]
+        got = BatchObjective(PenaltyConfig("wl", lam), A, y).code_gradient(x[:, None])[:, 0]
         want = fd_gradient(objective, x)
         assert _rel_err(got, want) < 1e-6
 
@@ -78,9 +78,9 @@ def test_wl_code_gradient_batch_stacks_columns():
     Y = rng.normal(size=(5, 3))
     X = rng.normal(size=(4, 3))
     pen = PenaltyConfig("wl", 0.3)
-    batch = pen.bind(A, Y).code_gradient(X)
+    batch = BatchObjective(pen, A, Y).code_gradient(X)
     for i in range(3):
-        single = pen.bind(A, Y[:, i:i + 1]).code_gradient(X[:, i:i + 1])
+        single = BatchObjective(pen, A, Y[:, i:i + 1]).code_gradient(X[:, i:i + 1])
         assert np.allclose(batch[:, i], single[:, 0], atol=1e-12)
 
 
@@ -114,7 +114,8 @@ def test_lap_penalty_value_is_trace_form():
     X = rng.normal(size=(3, 5))
     G = laplacian_from_adjacency(knn_adjacency(Y, 2))
     want = _fit(Y, A, X) + 0.9 * np.trace(X @ G @ X.T)
-    assert PenaltyConfig("lap", 0.9, knn_k=2).bind(A, Y).objective(X) == pytest.approx(want)
+    pen = PenaltyConfig("lap", 0.9, knn_k=2)
+    assert BatchObjective(pen, A, Y).objective(X) == pytest.approx(want)
 
 
 def test_lap_code_gradient_matches_finite_differences():
@@ -133,7 +134,8 @@ def test_lap_code_gradient_matches_finite_differences():
             X = x_flat.reshape(m, n)
             return _fit(Y, A, X) + lam * float(((X @ G) * X).sum())
 
-        got = PenaltyConfig("lap", lam, knn_k=1).bind(A, Y).code_gradient(X0).reshape(-1)
+        pen = PenaltyConfig("lap", lam, knn_k=1)
+        got = BatchObjective(pen, A, Y).code_gradient(X0).reshape(-1)
         want = fd_gradient(objective, X0.reshape(-1))
         assert _rel_err(got, want) < 1e-6
 
@@ -141,7 +143,7 @@ def test_lap_code_gradient_matches_finite_differences():
 def test_lap_gradient_shape_errors():
     # the kNN graph needs more columns than knn_k
     with pytest.raises(ConfigError):
-        PenaltyConfig("lap", 0.5).bind(np.zeros((3, 2)), np.zeros((3, 4)))
+        BatchObjective(PenaltyConfig("lap", 0.5), np.zeros((3, 2)), np.zeros((3, 4)))
 
 
 def test_atom_gradient_is_zero_for_zero_codes():
@@ -167,9 +169,9 @@ def test_batch_graph_only_for_lap(monkeypatch):
 
     monkeypatch.setattr(penalties, "knn_adjacency", recording_knn)
     for kind in ("l1", "wl"):
-        PenaltyConfig(kind, 0.5, knn_k=3).bind(A, Y)
+        BatchObjective(PenaltyConfig(kind, 0.5, knn_k=3), A, Y)
     assert calls == []
-    lap = PenaltyConfig("lap", 0.5, knn_k=3).bind(A, Y)
+    lap = BatchObjective(PenaltyConfig("lap", 0.5, knn_k=3), A, Y)
     assert calls == [3]
     want = laplacian_from_adjacency(knn_adjacency(Y, 3))
     assert np.array_equal(lap.G, want)

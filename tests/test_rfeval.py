@@ -53,6 +53,17 @@ def test_sta_is_deterministic_across_seeds():
     assert not np.array_equal(a[0], c[0])
 
 
+def test_sta_of_a_negated_response_is_the_negated_field():
+    # signed (l1) codes: the normalizer sums |x|, so a neuron whose
+    # responses sum below zero still gets its field
+    rng = np.random.default_rng(18)
+    W = rng.normal(size=(16, 2))
+    fields = sta_receptive_fields(_relu_hook(W), 4, 2000, seed=6)
+    negated = sta_receptive_fields(lambda Y: -_relu_hook(W)(Y), 4, 2000, seed=6)
+    assert fields.any()
+    assert np.array_equal(negated, -fields)
+
+
 def test_sta_flags_dead_neuron():
     # a dead neuron comes back as a zero image
     def respond(Y):

@@ -192,11 +192,14 @@ def test_read_pgm_rejects_short_raster(tmp_path):
 
 
 def test_read_pgm_rejects_truncated_header(tmp_path):
+    # a header that ends inside a comment has no maxval: nothing of the
+    # comment may be read back as a token
     path = tmp_path / "trunc.pgm"
-    path.write_bytes(b"P5\n4")
-    with pytest.raises(LocosparseError) as excinfo:
-        load_image_stack(path)
-    assert excinfo.type is LocosparseError
+    for header in (b"P5\n4", b"P5 4 4 # no maxval"):
+        path.write_bytes(header)
+        with pytest.raises(LocosparseError, match="truncated PGM header") as excinfo:
+            load_image_stack(path)
+        assert excinfo.type is LocosparseError
 
 
 def test_load_image_stack_sniffs_both_formats(tmp_path):
