@@ -2,7 +2,8 @@
 
 The parser is the one description of every option: `entrypoint` writes
 the manifest of train, eval and cluster from the parsed arguments.
-Exit codes: 0 success, 1 runtime failure, 2 usage error (a bad flag or a ConfigError).
+Exit codes: 0 success, 1 runtime failure (a LocosparseError, OSError or
+MemoryError), 2 usage error (a bad flag or a ConfigError).
 """
 
 import argparse
@@ -107,8 +108,9 @@ def entrypoint(argv=None):
                       if key not in ("subcommand", "func", "out")}
             write_manifest(manifest, shlex.join(["locosparse", *argv]), config, inputs,
                            [*outputs, manifest], time.perf_counter() - start)
-    except (LocosparseError, OSError) as exc:
-        print(f"locosparse: error: {exc}", file=sys.stderr)
+    except (LocosparseError, OSError, MemoryError) as exc:
+        # numpy names the allocation it refused; a bare MemoryError says nothing
+        print(f"locosparse: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
     return 0
 

@@ -5,16 +5,19 @@ The model is g(u, v) = K exp(-(u'^2 / 2 sigma_x^2 + v'^2 / 2 sigma_y^2))
 theta about the center (u0, v0); u is the column index and v the row
 index; _evaluate is its one definition. Fitting scores a (theta, f, phi)
 grid with closed-form amplitude in one broadcast _evaluate call, each image
-once (phi in [0, pi)), refines the two best starts with damped Gauss-Newton
+once (phi in [0, pi)), refines the best start with damped Gauss-Newton
 (Levenberg-Marquardt) kept inside the one feasible region of _in_bounds,
-and canonicalizes the result into fixed ranges. Each trial is evaluated
-once, and an accepted trial's shared terms give the next Jacobian. An
-accepted trial sets the damping from its gain ratio, the actual over the
-predicted decrease of the residual (Nielsen, 1999); a rejected one
-multiplies it by ten. A fit is converged when the step tolerance bites
-with no trial rejected at a bound in the final iteration and the relative
-residual is below 0.5, so a converged fit rests at no bound but the
-frequency floor: a trial below that floor is rejected without marking.
+refines the runner-up too only when the best start was cut off (by the
+iteration cap, or by an iteration with no acceptable trial) and keeps the
+lower sse, and canonicalizes the result into fixed ranges. Each trial is
+evaluated once, and an accepted trial's shared terms give the next
+Jacobian. An accepted trial sets the damping from its gain ratio, the
+actual over the predicted decrease of the residual (Nielsen, 1999); a
+rejected one multiplies it by ten. A fit is converged when the step
+tolerance bites with no trial rejected at a bound in the final iteration
+and the relative residual is below 0.5, so a converged fit rests at no
+bound but the frequency floor: a trial below that floor is rejected
+without marking.
 """
 
 import math
@@ -35,7 +38,7 @@ _SIGMA_FLOOR = 0.25
 _FREQ_FLOOR = 1e-3
 _FREQ_CEIL = 0.75
 _CONVERGED_RESIDUAL = 0.5
-_NUM_STARTS = 2       # best grid candidates refined
+_NUM_STARTS = 2       # best grid candidates, refined in turn until one settles
 _MAX_ITERS = 200      # Gauss-Newton iterations per start
 _STEP_TOL = 1e-8      # relative step length that counts as converged
 
@@ -139,7 +142,8 @@ def _coarse_grid(flat, u, v, u0, v0, sigma0):
 
 
 def _refine(q, flat, u, v):
-    """Damped Gauss-Newton inside the feasible region; returns (params, sse, step_tol_met).
+    """Damped Gauss-Newton inside the feasible region; returns (params,
+    sse, step_tol_met, settled).
 
     An accepted trial scales the damping mu by max(1/3, 1 - (2 rho - 1)^3),
     rho being its gain ratio: the decrease of sse over the decrease
@@ -153,7 +157,10 @@ def _refine(q, flat, u, v):
     False when the final iteration was at a bound: that start rests
     against a bound, not at an interior optimum. A trial below the floor
     does not mark, so a fit can still converge resting there, in the
-    f -> 0 limit where the carrier is flat on the patch.
+    f -> 0 limit where the carrier is flat on the patch. settled is True
+    when the step tolerance stopped the refinement, in the interior or at a
+    bound; it is False when the start was cut off, by _MAX_ITERS or by an
+    iteration with no acceptable trial in 50 tries.
     """
     n = flat.size
     side = math.isqrt(n)
@@ -165,7 +172,7 @@ def _refine(q, flat, u, v):
     image, jacobian = _evaluate(q.tolist(), u, v)
     resid, sse = residual(image)
     mu = 1e-3
-    hit = False
+    hit = settled = False
     eye = np.eye(q.size)
     for _ in range(_MAX_ITERS):
         J = jacobian()
@@ -198,9 +205,9 @@ def _refine(q, flat, u, v):
         else:  # no acceptable step in 50 tries
             break
         if math.sqrt(delta @ delta) <= _STEP_TOL * (1.0 + math.sqrt(q @ q)):
-            hit = not at_bound
+            hit, settled = not at_bound, True
             break
-    return q, sse, hit
+    return q, sse, hit, settled
 
 
 def canonical_vector(q):
@@ -270,8 +277,16 @@ def gabor_fit(image):
     sigma0 = side / 4.0
     _, _, starts = _coarse_grid(flat, u, v, u0, v0, sigma0)
 
-    best_q, best_sse, best_hit = min((_refine(start, flat, u, v) for start in starts),
-                                     key=lambda refined: refined[1])
+    # refine the starts in turn until one settles; the lowest sse among
+    # those refined wins, an earlier start on a tie
+    best = None
+    for start in starts:
+        refined = _refine(start, flat, u, v)
+        if best is None or refined[1] < best[1]:
+            best = refined
+        if refined[3]:
+            break
+    best_q, best_sse, best_hit, _ = best
     q = canonical_vector(best_q)
     residual = math.sqrt(best_sse) / tnorm
     return GaborParams(q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7],

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from locosparse import penalties, trainer
+from locosparse import cli, penalties, trainer
 from locosparse.cli import build_parser, entrypoint
 from locosparse.gabor import GaborParams, render_gabor
 from locosparse.manifest import digest_file
@@ -505,6 +505,27 @@ def test_failed_write_exits_1_and_names_the_path(workspace, gabor_model, tmp_pat
             "render": ["--tensor", str(workspace / "model.sct")]}[command]
     assert entrypoint([command, *args, "--out", str(out)]) == 1
     assert f"cannot write {out}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)",
+     "Unable to allocate 7.28 TiB"),
+    ("", "out of memory")], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_failed_allocation_exits_1_without_traceback(tmp_path, monkeypatch, capsys,
+                                                     command, message, shown):
+    # a stand-in for a refused allocation: a real one of this size may be
+    # granted by an overcommitting kernel and the process then killed
+    def refuse(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", refuse)
+    args = {"train": ["--data", "x.sct", "--penalty", "l1"],
+            "eval": ["--model", "m", "--source", "atoms"]}[command]
+    assert entrypoint([command, *args, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"locosparse: error: {shown}" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from locosparse import gabor
 from locosparse.errors import ConfigError
 from locosparse.gabor import (GaborParams, canonical_vector, fold_phase,
                               gabor_fit, render_gabor, shape_metrics)
@@ -266,16 +267,16 @@ def test_start_forced_against_the_edge_is_not_converged(u0):
     flat = (image - image.mean()).ravel()
     start = _vector(truth)
     start[1] = u0
-    q, sse, hit = _refine(start, flat, *_coords(side))
-    assert not hit
+    q, sse, hit, settled = _refine(start, flat, *_coords(side))
+    assert settled and not hit
     assert q[1] == pytest.approx(-0.5, abs=1e-6)
     assert sse > 0.0
     # the same start converges on a target it can reach on the patch
     inside = _params(u0=1.0, v0=3.5, theta=0.3, sigma_x=3.0, sigma_y=2.5, freq=0.15)
     image = render_gabor(inside, side)
     flat = (image - image.mean()).ravel()
-    q, sse, hit = _refine(start, flat, *_coords(side))
-    assert hit
+    q, sse, hit, settled = _refine(start, flat, *_coords(side))
+    assert settled and hit
     assert q[1] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -286,6 +287,55 @@ def test_field_equal_to_a_grid_start_fits_exactly():
     fit = gabor_fit(field)
     assert fit.residual == 0.0
     assert fit.converged
+
+
+def _recorded_refines(monkeypatch):
+    """The results of every _refine call gabor_fit makes, in call order."""
+    results = []
+    refine = gabor._refine
+
+    def recorded(q, flat, u, v):
+        results.append(refine(q, flat, u, v))
+        return results[-1]
+
+    monkeypatch.setattr(gabor, "_refine", recorded)
+    return results
+
+
+def test_settled_first_start_is_the_only_one_refined(monkeypatch):
+    refined = _recorded_refines(monkeypatch)
+    assert gabor_fit(render_gabor(_params(), 16)).converged
+    assert len(refined) == 1
+    assert refined[0][3]
+
+
+def test_refinement_cut_off_at_the_iteration_cap_is_not_settled(monkeypatch):
+    image = render_gabor(_params(), 16)
+    flat = (image - image.mean()).ravel()
+    start = _vector(_params(theta=0.5, freq=0.18, phase=0.0))
+    assert _refine(start, flat, *_coords(16))[3]
+    monkeypatch.setattr(gabor, "_MAX_ITERS", 2)
+    _, _, hit, settled = _refine(start, flat, *_coords(16))
+    assert not (settled or hit)
+
+
+@pytest.mark.parametrize("theta, freq, phase, runner_up_wins",
+                         [(0.6, 0.2, 0.4, False), (0.0, 0.3, 1.2, True)],
+                         ids=["first-start-wins", "runner-up-wins"])
+def test_cut_off_first_start_brings_in_the_runner_up(monkeypatch, theta, freq, phase,
+                                                     runner_up_wins):
+    # two iterations stop every start short of its optimum; the lower sse wins
+    refined = _recorded_refines(monkeypatch)
+    monkeypatch.setattr(gabor, "_MAX_ITERS", 2)
+    image = render_gabor(_params(theta=theta, freq=freq, phase=phase), 16)
+    fit = gabor_fit(image)
+    assert len(refined) == _NUM_STARTS
+    assert not any(settled for *_, settled in refined)
+    assert (refined[1][1] < refined[0][1]) == runner_up_wins
+    q, sse, _, _ = refined[int(runner_up_wins)]
+    assert np.array_equal(_vector(fit), canonical_vector(q))
+    assert fit.residual == math.sqrt(sse) / np.linalg.norm(image - image.mean())
+    assert not fit.converged
 
 
 def _thin_gabor():
@@ -303,8 +353,8 @@ def test_start_forced_against_the_sigma_floor_is_not_converged():
     truth, image = _thin_gabor()
     start = _vector(truth)
     start[4] = 0.3
-    q, _, hit = _refine(start, (image - image.mean()).ravel(), *_coords(8))
-    assert not hit
+    q, _, hit, settled = _refine(start, (image - image.mean()).ravel(), *_coords(8))
+    assert settled and not hit
     assert _SIGMA_FLOOR < abs(q[4]) < 1.001 * _SIGMA_FLOOR
 
 
