@@ -8,8 +8,9 @@ grid with closed-form amplitude in one broadcast _evaluate call, each image
 once (phi in [0, pi)), refines the best start with damped Gauss-Newton
 (Levenberg-Marquardt) kept inside the one feasible region of _in_bounds,
 refines the runner-up too only when the best start was cut off (by the
-iteration cap, or by an iteration with no acceptable trial) and keeps the
-lower sse, and canonicalizes the result into fixed ranges. Each trial is
+iteration cap, by an iteration with no acceptable trial, or by a relative
+residual still at or above 0.5 after 10 iterations) and keeps the lower
+sse, and canonicalizes the result into fixed ranges. Each trial is
 evaluated once, and an accepted trial's shared terms give the next
 Jacobian. An accepted trial sets the damping from its gain ratio, the
 actual over the predicted decrease of the residual (Nielsen, 1999); a
@@ -40,6 +41,7 @@ _FREQ_CEIL = 0.75
 _CONVERGED_RESIDUAL = 0.5
 _NUM_STARTS = 2       # best grid candidates, refined in turn until one settles
 _MAX_ITERS = 200      # Gauss-Newton iterations per start
+_CUTOFF_ITERS = 10    # iterations after which a start not yet under _CONVERGED_RESIDUAL stops
 _STEP_TOL = 1e-8      # relative step length that counts as converged
 
 
@@ -159,8 +161,12 @@ def _refine(q, flat, u, v):
     does not mark, so a fit can still converge resting there, in the
     f -> 0 limit where the carrier is flat on the patch. settled is True
     when the step tolerance stopped the refinement, in the interior or at a
-    bound; it is False when the start was cut off, by _MAX_ITERS or by an
-    iteration with no acceptable trial in 50 tries.
+    bound; it is False when the start was cut off, by _MAX_ITERS, by an
+    iteration with no acceptable trial in 50 tries, or by a relative
+    residual still at or above _CONVERGED_RESIDUAL after _CUTOFF_ITERS
+    iterations. Accepted steps never raise the sse, so a start below that
+    residual by then stays below it and is refined exactly as without the
+    cut.
     """
     n = flat.size
     side = math.isqrt(n)
@@ -174,7 +180,9 @@ def _refine(q, flat, u, v):
     mu = 1e-3
     hit = settled = False
     eye = np.eye(q.size)
-    for _ in range(_MAX_ITERS):
+    # sse at relative residual _CONVERGED_RESIDUAL (scaling by 0.25 is exact)
+    cutoff_sse = _CONVERGED_RESIDUAL ** 2 * float(flat @ flat)
+    for it in range(_MAX_ITERS):
         J = jacobian()
         J -= J.sum(axis=0) / n
         g = J.T @ resid
@@ -206,6 +214,8 @@ def _refine(q, flat, u, v):
             break
         if math.sqrt(delta @ delta) <= _STEP_TOL * (1.0 + math.sqrt(q @ q)):
             hit, settled = not at_bound, True
+            break
+        if it + 1 >= _CUTOFF_ITERS and sse >= cutoff_sse:  # not converging
             break
     return q, sse, hit, settled
 

@@ -11,7 +11,8 @@ from locosparse import gabor
 from locosparse.errors import ConfigError
 from locosparse.gabor import (GaborParams, canonical_vector, fold_phase,
                               gabor_fit, render_gabor, shape_metrics)
-from locosparse.gabor import (_GRID_FREQS, _GRID_PHASES, _GRID_THETAS, _NUM_STARTS,
+from locosparse.gabor import (_CONVERGED_RESIDUAL, _CUTOFF_ITERS, _GRID_FREQS,
+                              _GRID_PHASES, _GRID_THETAS, _MAX_ITERS, _NUM_STARTS,
                               _SIGMA_FLOOR, _coarse_grid, _coords, _evaluate, _refine,
                               _unfit_params, _vector)
 from locosparse.rfeval import sta_receptive_fields
@@ -121,15 +122,25 @@ def test_coarse_grid_matches_per_candidate_loop(kind, side):
     assert np.array(starts).tobytes() == np.array(want_starts).tobytes()
 
 
-def _field(kind, side):
+def _field(kind, side, noise=0.2):
     """A centred Gabor rendering, the same plus noise, or pure noise."""
     rng = np.random.default_rng(side)
     center = (side - 1) / 2.0
     img = render_gabor(_params(u0=center, v0=center + 0.7, sigma_x=side / 6.0,
                                sigma_y=side / 5.0), side)
     if kind == "noisy":
-        return img + 0.2 * rng.normal(size=img.shape)
+        return img + noise * rng.normal(size=img.shape)
     return rng.normal(size=img.shape) if kind == "random" else img
+
+
+def _flat_and_starts(image):
+    """The zero-mean field, flattened, and its starts, as gabor_fit makes them."""
+    side = image.shape[0]
+    flat = (image - image.mean()).ravel()
+    peak = int(np.argmax(np.abs(flat)))
+    starts = _coarse_grid(flat, *_coords(side), float(peak % side), float(peak // side),
+                          side / 4.0)[2]
+    return flat, starts
 
 
 def _unit_shapes(q, side):
@@ -150,11 +161,7 @@ def test_start_grid_holds_each_image_once(side):
     cosines = (shapes @ shapes.T)[np.triu_indices(len(shapes), 1)]
     assert cosines.min() > -1.0 + 1e-9
     for kind in ("gabor", "noisy", "random"):
-        field = _field(kind, side)
-        flat = (field - field.mean()).ravel()
-        peak = int(np.argmax(np.abs(flat)))
-        starts = _coarse_grid(flat, *_coords(side), float(peak % side), float(peak // side),
-                              side / 4.0)[2]
+        starts = _flat_and_starts(_field(kind, side))[1]
         assert len(starts) == _NUM_STARTS
         unit = _unit_shapes(np.array(starts).T[:, :, None], side)
         assert (unit @ unit.T)[np.triu_indices(len(unit), 1)].min() > -1.0 + 1e-9
@@ -335,6 +342,71 @@ def test_cut_off_first_start_brings_in_the_runner_up(monkeypatch, theta, freq, p
     q, sse, _, _ = refined[int(runner_up_wins)]
     assert np.array_equal(_vector(fit), canonical_vector(q))
     assert fit.residual == math.sqrt(sse) / np.linalg.norm(image - image.mean())
+    assert not fit.converged
+
+
+def _counted_jacobians(monkeypatch):
+    """A one-item list counting the Jacobians built from gabor._evaluate's results."""
+    builds = [0]
+    evaluate = gabor._evaluate
+
+    def counted(q, u, v):
+        image, jacobian = evaluate(q, u, v)
+
+        def counted_jacobian():
+            builds[0] += 1
+            return jacobian()
+        return image, counted_jacobian
+
+    monkeypatch.setattr(gabor, "_evaluate", counted)
+    return builds
+
+
+def test_start_not_converging_is_cut_off(monkeypatch):
+    # white noise holds no Gabor: its best start is still at residual 0.5
+    # or more after _CUTOFF_ITERS iterations, and stops there unsettled
+    flat, starts = _flat_and_starts(_field("random", 8))
+    builds = _counted_jacobians(monkeypatch)
+    _, sse, hit, settled = _refine(starts[0], flat, *_coords(8))
+    assert not (settled or hit)
+    assert builds[0] <= _CUTOFF_ITERS
+    assert math.sqrt(sse / (flat @ flat)) >= _CONVERGED_RESIDUAL
+    # without the cut the same start runs on until the step tolerance stops it
+    monkeypatch.setattr(gabor, "_CUTOFF_ITERS", _MAX_ITERS)
+    builds[0] = 0
+    assert _refine(starts[0], flat, *_coords(8))[3]
+    assert builds[0] > _CUTOFF_ITERS
+
+
+def test_start_below_the_cutoff_residual_runs_on_and_converges(monkeypatch):
+    # this start needs more than _CUTOFF_ITERS iterations, but is below
+    # residual 0.5 by then: the cut leaves its refinement as it was
+    image = _field("noisy", 8, noise=0.1)
+    flat, starts = _flat_and_starts(image)
+    builds = _counted_jacobians(monkeypatch)
+    _, _, hit, settled = _refine(starts[0], flat, *_coords(8))
+    assert settled and hit
+    assert builds[0] > _CUTOFF_ITERS
+    fit = gabor_fit(image)
+    assert fit.converged
+    monkeypatch.setattr(gabor, "_CUTOFF_ITERS", _MAX_ITERS)
+    assert dataclasses.astuple(gabor_fit(image)) == dataclasses.astuple(fit)
+
+
+def test_both_starts_cut_off_give_the_lower_sse_unconverged(monkeypatch):
+    image = _field("random", 8)
+    refined = _recorded_refines(monkeypatch)
+    builds = _counted_jacobians(monkeypatch)
+    fit = gabor_fit(image)
+    assert len(refined) == _NUM_STARTS
+    assert builds[0] <= _NUM_STARTS * _CUTOFF_ITERS
+    tnorm = np.linalg.norm(image - image.mean())
+    for _, sse, hit, settled in refined:
+        assert not (settled or hit)
+        assert math.sqrt(sse) / tnorm >= _CONVERGED_RESIDUAL
+    q, sse, _, _ = min(refined, key=lambda r: r[1])  # the first start on a tie
+    assert np.array_equal(_vector(fit), canonical_vector(q))
+    assert fit.residual == math.sqrt(sse) / tnorm
     assert not fit.converged
 
 
